@@ -30,8 +30,9 @@
 //! `BENCH_vm.json` and `BENCH_fusion.json` (the fusion-opportunity
 //! profile over the workload suite + committed fuzz corpus) in the
 //! target directory (override with `OG_BENCH_OUT`) so CI can track the
-//! perf trajectory, with `bench_gate` failing any >20% single-stream
-//! regression against the committed `bench/baseline/BENCH_vm.json`.
+//! perf trajectory, with `bench_gate` failing when a single-stream
+//! series' same-run ratio over the reference engine drops >20% below
+//! that ratio in the committed `bench/baseline/BENCH_vm.json`.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use og_core::{VrpConfig, VrpPass};

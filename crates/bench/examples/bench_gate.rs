@@ -1,17 +1,22 @@
 //! Perf regression gate: compare a fresh `BENCH_vm.json` against the
-//! committed baseline snapshot.
+//! committed baseline snapshot, on a yardstick that carries over between
+//! machines.
 //!
 //! ```text
 //! OG_BENCH_SMOKE=1 cargo bench -p og-bench --bench micro_throughput
 //! cargo run --release -p og-bench --example bench_gate
 //! ```
 //!
-//! The committed baseline lives at `bench/baseline/BENCH_vm.json` (the
-//! CI box's smoke-mode numbers). Every single-stream engine series —
-//! `flat`, `trusted`, and the fused no-stats headline `fused` — must
-//! stay within 20% of its baseline steps/sec; a larger drop exits
-//! nonzero. The fused and batch series are printed either way so the
-//! superinstruction and aggregate numbers are visible in the CI log.
+//! The committed baseline lives at `bench/baseline/BENCH_vm.json`.
+//! Absolute steps/sec do not carry over: the same code ran at ×0.48–0.76
+//! of the baseline's numbers on a slower machine. So each single-stream
+//! engine series — `flat`, `trusted`, and the fused no-stats headline
+//! `fused` — is gated on its **same-run ratio over the reference
+//! engine** (`reference_steps_per_sec` in the same report), which the
+//! machine's speed divides out of. That ratio must stay within 20% of
+//! the same ratio in the baseline; a larger drop exits nonzero. The
+//! absolute numbers, the fused and the batch series are printed either
+//! way so they stay visible in the CI log.
 //!
 //! Arguments (both optional, in order): baseline path, fresh path.
 //! Defaults: the committed snapshot, and `BENCH_vm.json` in the bench
@@ -27,7 +32,11 @@ const GATED: [(&str, &str); 3] = [
     ("fused_steps_per_sec", "fused (nostats)"),
 ];
 
-/// Largest tolerated drop relative to baseline: fresh ≥ 0.8 × baseline.
+/// The in-run yardstick every gated series is divided by.
+const YARDSTICK: &str = "reference_steps_per_sec";
+
+/// Largest tolerated drop of a series' ratio over the yardstick,
+/// relative to the baseline's ratio: fresh ≥ 0.8 × baseline.
 const MAX_REGRESSION: f64 = 0.20;
 
 fn load(path: &Path) -> Json {
@@ -54,17 +63,27 @@ fn main() {
     println!("bench_gate: baseline {}", baseline_path.display());
     println!("bench_gate: fresh    {}", fresh_path.display());
 
+    let base_ref = num(&baseline, YARDSTICK, &baseline_path);
+    let now_ref = num(&fresh, YARDSTICK, &fresh_path);
+    println!(
+        "bench_gate: yardstick (reference engine) {now_ref:>14.0} steps/s  \
+         (baseline {base_ref:>14.0}, x{:.3})",
+        now_ref / base_ref
+    );
     let mut failures = Vec::new();
     for (key, label) in GATED {
         let base = num(&baseline, key, &baseline_path);
         let now = num(&fresh, key, &fresh_path);
-        let ratio = now / base;
+        let (base_x, now_x) = (base / base_ref, now / now_ref);
+        let ratio = now_x / base_x;
         println!(
-            "bench_gate: {label:<16} {now:>14.0} steps/s  (baseline {base:>14.0}, x{ratio:.3})"
+            "bench_gate: {label:<16} x{now_x:.3} over reference (baseline x{base_x:.3}, \
+             x{ratio:.3}); {now:>14.0} steps/s"
         );
         if ratio < 1.0 - MAX_REGRESSION {
             failures.push(format!(
-                "{label}: {now:.0} steps/s is {:.1}% below baseline {base:.0}",
+                "{label}: x{now_x:.3} over the reference engine is {:.1}% below the \
+                 baseline's x{base_x:.3}",
                 100.0 * (1.0 - ratio)
             ));
         }
@@ -84,7 +103,10 @@ fn main() {
     );
 
     if failures.is_empty() {
-        println!("bench_gate: all single-stream series within {:.0}%", 100.0 * MAX_REGRESSION);
+        println!(
+            "bench_gate: all single-stream series within {:.0}% of their baseline ratio",
+            100.0 * MAX_REGRESSION
+        );
     } else {
         for f in &failures {
             eprintln!("bench_gate: FAIL: {f}");

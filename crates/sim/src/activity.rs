@@ -169,16 +169,23 @@ impl ActivityCounts {
     /// width after the software passes, `sig_bytes` the dynamic
     /// significance of the value (1..=8).
     pub fn record_value(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8) {
+        self.record_values(s, sw_bytes, sig_bytes, 1);
+    }
+
+    /// Record `n` value accesses that share one (`sw_bytes`,
+    /// `sig_bytes`) pair — the same totals as `n` calls of
+    /// [`record_value`](ActivityCounts::record_value).
+    pub fn record_values(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8, n: u64) {
         let a = &mut self.structs[s.index()];
-        a.accesses += 1;
-        a.value_accesses += 1;
+        a.accesses += n;
+        a.value_accesses += n;
         let sw = sw_bytes.clamp(1, 8);
         let sig = sig_bytes.clamp(1, 8);
-        a.bytes.none += 8;
-        a.bytes.software += sw as u64;
-        a.bytes.hw_significance += sig as u64;
-        a.bytes.hw_size += round_size_class(sig) as u64;
-        a.bytes.cooperative += round_size_class(sig).min(sw) as u64;
+        a.bytes.none += 8 * n;
+        a.bytes.software += sw as u64 * n;
+        a.bytes.hw_significance += sig as u64 * n;
+        a.bytes.hw_size += round_size_class(sig) as u64 * n;
+        a.bytes.cooperative += round_size_class(sig).min(sw) as u64 * n;
     }
 
     /// The activity of one structure.
@@ -197,6 +204,45 @@ impl ActivityCounts {
             a.bytes.hw_significance += b.bytes.hw_significance;
             a.bytes.hw_size += b.bytes.hw_size;
             a.bytes.cooperative += b.bytes.cooperative;
+        }
+    }
+}
+
+/// Value accesses binned by structure, software width and significance
+/// (both clamped to 1..=8): the simulator's per-record accumulator. One
+/// counter increment per access replaces the five per-scheme byte sums;
+/// since every sum is linear in the access count,
+/// [`fold_into`](ValueHistogram::fold_into) produces exactly the totals
+/// the per-access [`ActivityCounts::record_value`] calls would have.
+#[derive(Debug)]
+pub(crate) struct ValueHistogram {
+    counts: [[[u64; 8]; 8]; 12],
+}
+
+impl ValueHistogram {
+    pub(crate) fn new() -> ValueHistogram {
+        ValueHistogram { counts: [[[0; 8]; 8]; 12] }
+    }
+
+    /// Count one value access (same arguments as
+    /// [`ActivityCounts::record_value`]).
+    #[inline]
+    pub(crate) fn record(&mut self, s: Structure, sw_bytes: u8, sig_bytes: u8) {
+        let sw = sw_bytes.clamp(1, 8) as usize - 1;
+        let sig = sig_bytes.clamp(1, 8) as usize - 1;
+        self.counts[s.index()][sw][sig] += 1;
+    }
+
+    /// Add every binned access to `act`.
+    pub(crate) fn fold_into(&self, act: &mut ActivityCounts) {
+        for s in Structure::ALL {
+            for (sw, row) in self.counts[s.index()].iter().enumerate() {
+                for (sig, &n) in row.iter().enumerate() {
+                    if n > 0 {
+                        act.record_values(s, sw as u8 + 1, sig as u8 + 1, n);
+                    }
+                }
+            }
         }
     }
 }
@@ -306,6 +352,23 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.of(Structure::Fu).accesses, 2);
         assert_eq!(a.of(Structure::Fu).bytes.software, 9);
+    }
+
+    #[test]
+    fn histogram_fold_equals_per_access_records() {
+        let mut direct = ActivityCounts::new();
+        let mut hist = ValueHistogram::new();
+        let mut rng = crate::reference::Rng::new(7);
+        for _ in 0..10_000 {
+            let s = Structure::ALL[rng.below(12) as usize];
+            // Out-of-range widths exercise the clamps on both paths.
+            let (sw, sig) = (rng.below(10) as u8, rng.below(10) as u8);
+            direct.record_value(s, sw, sig);
+            hist.record(s, sw, sig);
+        }
+        let mut folded = ActivityCounts::new();
+        hist.fold_into(&mut folded);
+        assert_eq!(folded, direct);
     }
 
     #[test]

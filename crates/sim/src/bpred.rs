@@ -3,6 +3,11 @@
 //! and a 2K-entry bimodal predictor, plus a BTB and a return-address
 //! stack.
 
+/// BTB sets; each holds [`BTB_ASSOC`] ways.
+const BTB_SETS: usize = 512;
+/// BTB associativity.
+const BTB_ASSOC: usize = 4;
+
 /// Two-bit saturating counter helpers.
 fn bump(c: &mut u8, taken: bool) {
     if taken {
@@ -23,10 +28,16 @@ pub struct BranchPredictor {
     bimodal: Vec<u8>,
     chooser: Vec<u8>,
     ghr: u16,
-    btb: Vec<Vec<(u64, u64)>>, // per set: (tag, target), MRU first
-    btb_assoc: usize,
+    /// `BTB_SETS × BTB_ASSOC` ways of `(tag + 1, target)`, set-major and
+    /// MRU first within a set; a zero tag marks an empty way (the layout
+    /// of [`Cache`](crate::Cache)).
+    btb: Vec<(u64, u64)>,
+    /// Return addresses in a fixed ring: `ras_top` is the next slot to
+    /// push, `ras_len` how many of the slots below it are live. A push
+    /// onto a full stack overwrites the oldest entry.
     ras: Vec<u64>,
-    ras_depth: usize,
+    ras_top: usize,
+    ras_len: usize,
     /// Conditional-branch predictions made.
     pub lookups: u64,
     /// Conditional-branch direction mispredictions.
@@ -41,10 +52,10 @@ impl BranchPredictor {
             bimodal: vec![1; 2 * 1024],
             chooser: vec![2; 1024],
             ghr: 0,
-            btb: vec![Vec::new(); 512],
-            btb_assoc: 4,
-            ras: Vec::new(),
-            ras_depth,
+            btb: vec![(0, 0); BTB_SETS * BTB_ASSOC],
+            ras: vec![0; ras_depth],
+            ras_top: 0,
+            ras_len: 0,
             lookups: 0,
             mispredicts: 0,
         }
@@ -90,34 +101,44 @@ impl BranchPredictor {
     /// Look up the BTB; on miss or stale target the front end cannot
     /// redirect correctly. Always installs/updates the actual target.
     pub fn btb_lookup_update(&mut self, pc: u64, target: u64) -> bool {
-        let set = ((pc >> 3) as usize) & (self.btb.len() - 1);
-        let tag = pc >> 12;
-        let ways = &mut self.btb[set];
-        let hit = if let Some(pos) = ways.iter().position(|&(t, _)| t == tag) {
-            let (_, old_target) = ways.remove(pos);
-            ways.insert(0, (tag, target));
-            old_target == target
-        } else {
-            if ways.len() == self.btb_assoc {
-                ways.pop();
+        let set = ((pc >> 3) as usize) & (BTB_SETS - 1);
+        let key = (pc >> 12) + 1;
+        let ways = &mut self.btb[set * BTB_ASSOC..(set + 1) * BTB_ASSOC];
+        let hit = match ways.iter().position(|&(t, _)| t == key) {
+            Some(pos) => {
+                let old_target = ways[pos].1;
+                ways[..=pos].rotate_right(1);
+                old_target == target
             }
-            ways.insert(0, (tag, target));
-            false
+            None => {
+                ways.rotate_right(1);
+                false
+            }
         };
+        ways[0] = (key, target);
         hit
     }
 
-    /// Push a return address at a call.
+    /// Push a return address at a call; a full stack drops its oldest
+    /// entry.
     pub fn ras_push(&mut self, ret: u64) {
-        if self.ras.len() == self.ras_depth {
-            self.ras.remove(0);
+        let depth = self.ras.len();
+        if depth == 0 {
+            return;
         }
-        self.ras.push(ret);
+        self.ras[self.ras_top] = ret;
+        self.ras_top = if self.ras_top + 1 == depth { 0 } else { self.ras_top + 1 };
+        self.ras_len = (self.ras_len + 1).min(depth);
     }
 
     /// Pop a predicted return address; compares with the actual one.
     pub fn ras_pop_matches(&mut self, actual: u64) -> bool {
-        self.ras.pop() == Some(actual)
+        if self.ras_len == 0 {
+            return false;
+        }
+        self.ras_len -= 1;
+        self.ras_top = if self.ras_top == 0 { self.ras.len() - 1 } else { self.ras_top - 1 };
+        self.ras[self.ras_top] == actual
     }
 
     /// Direction misprediction rate.
@@ -133,6 +154,7 @@ impl BranchPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{Rng, VecBtb, VecRas};
 
     #[test]
     fn learns_a_constant_direction() {
@@ -188,5 +210,65 @@ mod tests {
         assert!(bp.ras_pop_matches(3));
         assert!(bp.ras_pop_matches(2));
         assert!(!bp.ras_pop_matches(1), "1 was dropped on overflow");
+    }
+
+    #[test]
+    fn zero_depth_ras_predicts_nothing() {
+        let mut bp = BranchPredictor::new(0);
+        bp.ras_push(1);
+        assert!(!bp.ras_pop_matches(1));
+    }
+
+    /// The flat BTB against the MRU-list reference over seeded streams
+    /// of (pc, target) pairs: a few hot branches with stable targets,
+    /// a few with changing targets, and a spread of cold pcs that
+    /// conflict within sets.
+    #[test]
+    fn btb_matches_the_mru_list_reference() {
+        for seed in 0..8u64 {
+            let mut rng = Rng::new(seed);
+            let mut bp = BranchPredictor::new(16);
+            let mut reference = VecBtb::new();
+            for step in 0..50_000 {
+                let pc = match rng.below(4) {
+                    0 => rng.below(64) * 8,
+                    1 => rng.below(1 << 20) * 8,
+                    _ => (rng.below(16) << 12) | (rng.below(8) * 8),
+                };
+                let target = if rng.below(4) == 0 { rng.below(4) * 64 } else { pc ^ 0x40 };
+                assert_eq!(
+                    bp.btb_lookup_update(pc, target),
+                    reference.lookup_update(pc, target),
+                    "seed {seed} step {step} pc {pc:#x}"
+                );
+            }
+        }
+    }
+
+    /// The RAS ring against the `Vec` stack that drops its oldest entry,
+    /// over seeded call/return sequences that overflow and underflow.
+    #[test]
+    fn ras_matches_the_vec_reference() {
+        for depth in [1usize, 2, 4, 16] {
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(seed);
+                let mut bp = BranchPredictor::new(depth);
+                let mut reference = VecRas::new(depth);
+                for step in 0..20_000 {
+                    if rng.below(2) == 0 {
+                        let ret = rng.below(4) * 8;
+                        bp.ras_push(ret);
+                        reference.push(ret);
+                    } else {
+                        let actual = rng.below(4) * 8;
+                        assert_eq!(
+                            bp.ras_pop_matches(actual),
+                            reference.pop_matches(actual),
+                            "depth {depth} seed {seed} step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -2,12 +2,20 @@
 
 /// A set-associative cache with true-LRU replacement, modelling hits and
 /// misses (contents are irrelevant: the emulator supplies values).
+///
+/// The tags live in one flat `n_sets × assoc` array, set-major, each set
+/// ordered MRU first. A way holds `tag + 1`, so 0 marks an empty way and
+/// a new cache is a single zeroed allocation. A hit rotates the ways in
+/// front of it down by one and moves the tag to the front; a miss
+/// rotates the whole set (the LRU or an empty way falls off the end) and
+/// writes the new tag at the front.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // tags per set, MRU first
+    ways: Vec<u64>,
     assoc: usize,
     line_shift: u32,
     set_mask: u64,
+    tag_shift: u32,
     /// Total accesses.
     pub accesses: u64,
     /// Total misses.
@@ -20,17 +28,20 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is not a power-of-two or the capacity is
-    /// smaller than one set.
+    /// Panics if the geometry is not a power-of-two, the capacity is
+    /// smaller than one set, or a one-byte line in a one-set cache would
+    /// leave no address bits to drop from the tag.
     pub fn new(bytes: u32, assoc: u32, line: u32) -> Cache {
         assert!(line.is_power_of_two() && bytes.is_multiple_of(line * assoc));
         let n_sets = (bytes / (line * assoc)) as usize;
         assert!(n_sets.is_power_of_two() && n_sets > 0);
+        assert!(line > 1 || n_sets > 1, "tag + 1 must not overflow");
         Cache {
-            sets: vec![Vec::with_capacity(assoc as usize); n_sets],
+            ways: vec![0; n_sets * assoc as usize],
             assoc: assoc as usize,
             line_shift: line.trailing_zeros(),
             set_mask: n_sets as u64 - 1,
+            tag_shift: n_sets.trailing_zeros(),
             accesses: 0,
             misses: 0,
         }
@@ -41,18 +52,15 @@ impl Cache {
         self.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+        let key = (line >> self.tag_shift) + 1;
+        let ways = &mut self.ways[set * self.assoc..(set + 1) * self.assoc];
+        if let Some(pos) = ways.iter().position(|&t| t == key) {
+            ways[..=pos].rotate_right(1);
             true
         } else {
             self.misses += 1;
-            if ways.len() == self.assoc {
-                ways.pop();
-            }
-            ways.insert(0, tag);
+            ways.rotate_right(1);
+            ways[0] = key;
             false
         }
     }
@@ -75,6 +83,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{Rng, VecCache};
 
     #[test]
     fn hits_after_fill() {
@@ -117,5 +126,44 @@ mod tests {
         c.access(0);
         c.access(0);
         assert!((c.miss_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn address_zero_is_not_an_empty_way() {
+        let mut c = Cache::new(64, 1, 32);
+        assert!(!c.access(0), "a cold cache misses on tag 0");
+        assert!(c.access(0));
+    }
+
+    /// The flat cache against the `Vec<Vec>` MRU-list reference over
+    /// seeded address streams: the same hit/miss on every access. The
+    /// streams mix a hot working set (hits, LRU reordering) with a wide
+    /// random range (conflicts, evictions) and the top of the address
+    /// space (the largest tags).
+    #[test]
+    fn matches_the_mru_list_reference() {
+        let table2 = [(64 * 1024, 2, 32), (64 * 1024, 2, 32), (256 * 1024, 4, 64)];
+        let small = [(512, 1, 32), (1024, 2, 32), (2048, 4, 64), (4096, 4, 16)];
+        for (g, &(bytes, assoc, line)) in table2.iter().chain(&small).enumerate() {
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(seed * 131 + g as u64);
+                let mut flat = Cache::new(bytes, assoc, line);
+                let mut reference = VecCache::new(bytes, assoc, line);
+                let span = 4 * bytes as u64;
+                for step in 0..20_000 {
+                    let addr = match rng.below(8) {
+                        0..=3 => rng.below(bytes as u64 / 2),
+                        4..=6 => rng.below(span),
+                        _ => u64::MAX - rng.below(span),
+                    };
+                    assert_eq!(
+                        flat.access(addr),
+                        reference.access(addr),
+                        "{bytes}B/{assoc}-way/{line}B seed {seed} step {step} addr {addr:#x}"
+                    );
+                }
+                assert_eq!((flat.accesses, flat.misses), (reference.accesses, reference.misses));
+            }
+        }
     }
 }

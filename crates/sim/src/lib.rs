@@ -23,10 +23,28 @@
 //!
 //! All per-instruction history is bounded by the machine's own window
 //! sizes (ROB, issue queue, LSQ, physical registers), so the state
-//! machine's footprint is independent of trace *length*: it is a few
-//! megabytes of fixed structures plus a store-forwarding map that grows
-//! with the program's *data footprint* (one entry per distinct 8-byte
-//! word stored — the same cost the slice-consuming model always paid).
+//! machine's footprint is independent of trace *length*. It is about
+//! 0.8 MiB of fixed structures, each one allocation made at
+//! [`Simulator::new`], most of it zeroed by the allocator:
+//!
+//! * five 16,384-slot reservation rings (issue, ALU, multiplier, cache
+//!   port, result bus) of one packed `u64` per slot, 128 KiB each,
+//!   indexed by a mask; the in-order fetch, decode and retire stages
+//!   need only their newest reserved cycle;
+//! * the caches as flat `sets × ways` tag arrays (16 + 16 + 32 KiB) and
+//!   the predictor's tables (64 K gshare counters, a 2 K bimodal table,
+//!   a 1 K chooser, a 512 × 4 BTB in the cache's layout);
+//! * the ROB, issue-queue and LSQ timestamp windows, rounded up to
+//!   powers of two and indexed by masks;
+//!
+//! plus a store-forwarding map that grows with the program's *data
+//! footprint* (one entry per distinct 8-byte word stored — the same cost
+//! the slice-consuming model always paid). Activity is not summed per
+//! access: [`Simulator::feed`] bins every value access into a
+//! (structure, software width, significance) histogram, and
+//! [`Simulator::finish`] folds the bins into [`ActivityCounts`] — the
+//! per-scheme byte sums are linear in the access counts, so the totals
+//! are exactly those of per-access accounting.
 //! [`Simulator::run`] remains as a slice-consuming convenience over
 //! `feed`/`finish` for traces captured with `og_vm::VecSink`.
 //!
@@ -43,6 +61,8 @@ mod bpred;
 mod cache;
 mod config;
 mod pipeline;
+#[cfg(test)]
+mod reference;
 
 pub use activity::{round_size_class, ActivityCounts, SchemeBytes, StructActivity, Structure};
 pub use bpred::BranchPredictor;

@@ -19,8 +19,16 @@
 //! file), so simulating a trace of any length takes O(1) memory. The
 //! [`Simulator::run`] convenience preserves the old slice-consuming
 //! interface on top of the same state machine.
+//!
+//! The per-record path does no division and no per-access allocation:
+//! bandwidth rings and timestamp windows are indexed by power-of-two
+//! masks, the in-order stages keep only their newest reserved cycle,
+//! caches and the BTB rotate tags in place within one flat array, the
+//! store-forwarding map hashes with one multiply, and value accesses are
+//! counted into a histogram that `finish` folds into the per-scheme
+//! activity totals.
 
-use crate::activity::{ActivityCounts, Structure};
+use crate::activity::{ActivityCounts, Structure, ValueHistogram};
 use crate::bpred::BranchPredictor;
 use crate::cache::Cache;
 use crate::config::MachineConfig;
@@ -29,32 +37,131 @@ use og_json::{FromJson, Json, ToJson};
 use og_vm::{TraceRecord, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A per-cycle bandwidth-limited resource.
+/// Slots per [`Ring`]: a power of two, so a cycle's slot is `cycle &
+/// RING_MASK`.
+///
+/// **Horizon.** A slot is shared by cycles `RING_SLOTS` apart, so a
+/// reservation is exact only while every request lies less than
+/// `RING_SLOTS` cycles behind the newest cycle already reserved in that
+/// ring. Every ring request made for instruction *i* (issue, functional
+/// unit, cache port, result bus) is at or after its dispatch, and
+/// dispatch waits for the commit of instruction *i − rob_size*. Every
+/// slot already reserved belongs to an older instruction and lies at or
+/// before that instruction's commit, so at or before the commit of
+/// *i − 1*. The spread is therefore at most the time the youngest
+/// `rob_size − 1` instructions take to commit one after another.
+///
+/// On the Table 2 machine each of them adds at most a few tens of cycles
+/// of pipeline latency (front end, an L2 lookup for its fetch and for
+/// its load, a 7-cycle multiply, a redirect): about 63 × 30 ≈ 1,900
+/// cycles. The memory bus adds its queue, since it serializes line
+/// fills; only the window's own instructions can have fills
+/// outstanding, at most two each (fetch and load) of 22 cycles:
+/// 126 × 22 ≈ 2,800 cycles. The bound, ~4,700 cycles, is under a third
+/// of the 16,384 slots. A machine configured with far longer memory
+/// latency could exceed it; [`Ring::reserve`] debug-asserts against the
+/// aliasing that would follow.
+const RING_SLOTS: usize = 16384;
+const RING_MASK: u64 = RING_SLOTS as u64 - 1;
+
+/// A per-cycle bandwidth-limited resource. Each slot packs the cycle it
+/// was last reserved for and the units used then into one word,
+/// `(cycle + 1) << 8 | used` (cycles below 2^56); 0 means never
+/// reserved, so a new ring is one zeroed allocation.
 #[derive(Debug, Clone)]
 struct Ring {
-    slots: Vec<(u64, u8)>,
+    slots: Box<[u64; RING_SLOTS]>,
 }
 
 impl Ring {
     fn new() -> Ring {
-        Ring { slots: vec![(u64::MAX, 0); 16384] }
+        let slots = vec![0; RING_SLOTS].into_boxed_slice();
+        Ring { slots: slots.try_into().expect("RING_SLOTS slots") }
     }
 
     /// Reserve a slot at the earliest cycle ≥ `cycle` with spare capacity.
     fn reserve(&mut self, mut cycle: u64, cap: u8) -> u64 {
         loop {
-            let n = self.slots.len() as u64;
-            let s = &mut self.slots[(cycle % n) as usize];
-            if s.0 != cycle {
-                *s = (cycle, 0);
+            let s = &mut self.slots[(cycle & RING_MASK) as usize];
+            let stamp = (cycle + 1) << 8;
+            debug_assert!(
+                *s >> 8 <= cycle + 1,
+                "ring slot aliased: cycle {cycle} requested after cycle {} was reserved \
+                 ({RING_SLOTS} slots)",
+                (*s >> 8) - 1
+            );
+            if *s & !0xFF != stamp {
+                *s = stamp;
             }
-            if s.1 < cap {
-                s.1 += 1;
+            if ((*s & 0xFF) as u8) < cap {
+                *s += 1;
                 return cycle;
             }
             cycle += 1;
         }
+    }
+}
+
+/// A per-cycle bandwidth-limited resource whose requests arrive in
+/// non-decreasing cycle order: the in-order fetch, decode and retire
+/// stages (`last_fetch`, `f_cyc + frontend_depth` and `last_commit` only
+/// grow). Then every cycle from the latest request up to the newest
+/// cycle reserved is full, and no later cycle is reserved, so the
+/// newest reserved cycle and its count are the whole state: the answers
+/// of a [`Ring`], without the ring.
+#[derive(Debug, Default)]
+struct InOrder {
+    /// The newest reserved cycle (meaningless while `used` is 0).
+    cycle: u64,
+    /// Units used in `cycle`; 0 before the first reservation.
+    used: u8,
+    /// The latest request, to check the in-order premise.
+    floor: u64,
+}
+
+impl InOrder {
+    /// Reserve a slot at the earliest cycle ≥ `cycle` with spare capacity.
+    fn reserve(&mut self, cycle: u64, cap: u8) -> u64 {
+        debug_assert!(cycle >= self.floor, "in-order request {cycle} after {}", self.floor);
+        self.floor = cycle;
+        if self.used == 0 || cycle > self.cycle {
+            self.cycle = cycle;
+            self.used = 1;
+        } else if self.used < cap {
+            self.used += 1;
+        } else {
+            self.cycle += 1;
+            self.used = 1;
+        }
+        self.cycle
+    }
+}
+
+/// A multiply-shift hasher for the word-address keys of
+/// [`Simulator::store_ready`]: one multiply by an odd constant, with the
+/// high half folded down so the table's index (low) bits and its tag
+/// (top) bits both depend on every address bit. The keys come from the
+/// simulated program, not an adversary, so SipHash's flood resistance
+/// buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let h = word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -133,24 +240,27 @@ pub struct SimResult {
     pub activity: ActivityCounts,
 }
 
-/// A bounded history of per-instruction timestamps: retains the youngest
-/// `cap` values pushed, addressable by the global push index. This is
-/// what makes the simulator's memory footprint independent of trace
-/// length — the pipeline only ever looks back one machine window.
+/// A bounded history of per-instruction timestamps: retains (at least)
+/// the youngest `cap` values pushed, addressable by the global push
+/// index. This is what makes the simulator's memory footprint
+/// independent of trace length — the pipeline only ever looks back one
+/// machine window. The buffer is `cap` rounded up to a power of two, so
+/// an index is a mask, not a division.
 #[derive(Debug, Clone)]
 struct History {
     buf: Vec<u64>,
+    mask: u64,
     len: u64,
 }
 
 impl History {
     fn new(cap: usize) -> History {
-        History { buf: vec![0; cap.max(1)], len: 0 }
+        let cap = cap.max(1).next_power_of_two();
+        History { buf: vec![0; cap], mask: cap as u64 - 1, len: 0 }
     }
 
     fn push(&mut self, v: u64) {
-        let cap = self.buf.len() as u64;
-        self.buf[(self.len % cap) as usize] = v;
+        self.buf[(self.len & self.mask) as usize] = v;
         self.len += 1;
     }
 
@@ -159,11 +269,10 @@ impl History {
     }
 
     /// The `idx`-th value ever pushed; `idx` must be within the retained
-    /// window (the youngest `cap` pushes).
+    /// window.
     fn get(&self, idx: u64) -> u64 {
-        let cap = self.buf.len() as u64;
-        debug_assert!(idx < self.len && self.len - idx <= cap, "history window exceeded");
-        self.buf[(idx % cap) as usize]
+        debug_assert!(idx < self.len && self.len - idx <= self.mask + 1, "history window exceeded");
+        self.buf[(idx & self.mask) as usize]
     }
 }
 
@@ -183,15 +292,17 @@ pub struct Simulator {
     // Accumulated results.
     stats: CycleStats,
     act: ActivityCounts,
+    /// Value accesses, binned; folded into `act` by `finish`.
+    values: ValueHistogram,
     // Machine structures.
     icache: Cache,
     dcache: Cache,
     l2: Cache,
     bpred: BranchPredictor,
-    fetch_ring: Ring,
-    decode_ring: Ring,
+    fetch_ring: InOrder,
+    decode_ring: InOrder,
     issue_ring: Ring,
-    retire_ring: Ring,
+    retire_ring: InOrder,
     alu_ring: Ring,
     mul_ring: Ring,
     mem_ring: Ring,
@@ -209,7 +320,7 @@ pub struct Simulator {
     /// with the number of distinct 8-byte words the program stores (its
     /// data footprint) — not with trace length; forwarding deliberately
     /// has no age horizon, matching the original slice-consuming model.
-    store_ready: HashMap<u64, u64>,
+    store_ready: HashMap<u64, u64, BuildHasherDefault<WordHasher>>,
     /// Earliest possible next fetch.
     fetch_base: u64,
     last_fetch: u64,
@@ -227,14 +338,15 @@ impl Simulator {
             line_mask: !(config.icache.2 as u64 - 1),
             stats: CycleStats::default(),
             act: ActivityCounts::new(),
+            values: ValueHistogram::new(),
             icache: Cache::new(config.icache.0, config.icache.1, config.icache.2),
             dcache: Cache::new(config.dcache.0, config.dcache.1, config.dcache.2),
             l2: Cache::new(config.l2.0, config.l2.1, config.l2.2),
             bpred: BranchPredictor::new(config.ras_depth as usize),
-            fetch_ring: Ring::new(),
-            decode_ring: Ring::new(),
+            fetch_ring: InOrder::default(),
+            decode_ring: InOrder::default(),
             issue_ring: Ring::new(),
-            retire_ring: Ring::new(),
+            retire_ring: InOrder::default(),
             alu_ring: Ring::new(),
             mul_ring: Ring::new(),
             mem_ring: Ring::new(),
@@ -244,7 +356,7 @@ impl Simulator {
             commit_hist: History::new(commit_window),
             issue_hist: History::new(config.iq_size as usize),
             mem_hist: History::new(config.lsq_size as usize),
-            store_ready: HashMap::new(),
+            store_ready: HashMap::default(),
             fetch_base: 0,
             last_fetch: 0,
             last_commit: 0,
@@ -307,7 +419,7 @@ impl Simulator {
         self.act.record_plain(Structure::Rob);
         let sw = rec.width.bytes() as u8;
         let sig = rec.max_sig();
-        self.act.record_value(Structure::InstQueue, sw, sig);
+        self.values.record(Structure::InstQueue, sw, sig);
 
         // ---- operand readiness --------------------------------------
         let mut ready = disp + 1;
@@ -316,7 +428,7 @@ impl Simulator {
                 if !r.is_zero() {
                     ready = ready.max(self.reg_ready[r.index() as usize]);
                 }
-                self.act.record_value(
+                self.values.record(
                     Structure::RegFile,
                     sw,
                     if rec.src_sigs[s] == 0 { 1 } else { rec.src_sigs[s] },
@@ -343,8 +455,8 @@ impl Simulator {
         };
         if matches!(rec.op, Op::Ld { .. }) {
             self.stats.loads += 1;
-            self.act.record_value(Structure::Lsq, sw, rec.dst_sig.max(1));
-            self.act.record_value(Structure::DCacheL1, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::Lsq, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::DCacheL1, sw, rec.dst_sig.max(1));
             let access_start = iss + 1;
             let data_ready = if self.dcache.access(rec.mem_addr) {
                 access_start + cfg.dcache.3 as u64
@@ -368,13 +480,13 @@ impl Simulator {
             }
         } else if rec.op == Op::St {
             self.stats.stores += 1;
-            self.act.record_value(Structure::Lsq, sw, rec.src_sigs[0].max(1));
+            self.values.record(Structure::Lsq, sw, rec.src_sigs[0].max(1));
         }
         if rec.op.fu() != FuKind::None && !rec.op.is_mem() {
-            self.act.record_value(Structure::Fu, sw, sig);
+            self.values.record(Structure::Fu, sw, sig);
         } else if rec.op.is_mem() {
             // address generation occupies an ALU lane's adder
-            self.act.record_value(Structure::Fu, 8, 8);
+            self.values.record(Structure::Fu, 8, 8);
         }
         self.issue_hist.push(iss);
         let mut complete = iss + lat.max(1);
@@ -382,8 +494,8 @@ impl Simulator {
         // ---- writeback ----------------------------------------------
         if let Some(d) = rec.dst {
             complete = self.bus_ring.reserve(complete, 4);
-            self.act.record_value(Structure::ResultBus, sw, rec.dst_sig.max(1));
-            self.act.record_value(Structure::RenameBufs, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::ResultBus, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::RenameBufs, sw, rec.dst_sig.max(1));
             if !d.is_zero() {
                 self.reg_ready[d.index() as usize] = complete;
             }
@@ -445,11 +557,11 @@ impl Simulator {
         self.act.record_plain(Structure::Rob);
         if rec.dst.is_some() {
             // architectural writeback
-            self.act.record_value(Structure::RegFile, sw, rec.dst_sig.max(1));
+            self.values.record(Structure::RegFile, sw, rec.dst_sig.max(1));
         }
         if rec.op == Op::St {
             // the store writes the cache at commit
-            self.act.record_value(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
+            self.values.record(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
             let hit = self.dcache.access(rec.mem_addr);
             if !hit {
                 self.act.record_plain(Structure::DCacheL2);
@@ -466,12 +578,14 @@ impl Simulator {
     /// the simulator (a finished machine cannot be fed more work).
     pub fn finish(self) -> SimResult {
         let mut stats = self.stats;
+        let mut activity = self.act;
+        self.values.fold_into(&mut activity);
         stats.cycles = self.last_commit + 1;
         stats.icache = (self.icache.accesses, self.icache.misses);
         stats.dcache = (self.dcache.accesses, self.dcache.misses);
         stats.l2 = (self.l2.accesses, self.l2.misses);
         // cond_branches/mispredicts recorded inline.
-        SimResult { stats, activity: self.act }
+        SimResult { stats, activity }
     }
 
     /// Simulate a materialized committed-path trace on a **fresh**
@@ -508,6 +622,7 @@ impl TraceSink for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{ModRing, Rng};
     use og_isa::{Reg, Width};
     use og_program::{imm, ProgramBuilder};
     use og_vm::{RunConfig, VecSink, Vm};
@@ -696,6 +811,88 @@ mod tests {
             rn.activity.of(Structure::Fu).bytes.hw_significance,
             rw.activity.of(Structure::Fu).bytes.hw_significance
         );
+    }
+
+    /// The masked, packed ring against the modulo ring with the
+    /// `u64::MAX` sentinel: the same reserved cycle for every request.
+    /// Requests walk forward with random look-backs and bursts that fill
+    /// slots and carry into later cycles, staying inside the horizon.
+    #[test]
+    fn ring_matches_the_modulo_reference() {
+        for cap in [1u8, 2, 3, 4] {
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(seed * 17 + cap as u64);
+                let mut ring = Ring::new();
+                let mut reference = ModRing::new(RING_SLOTS);
+                let mut newest = 0u64;
+                for step in 0..100_000 {
+                    newest += rng.below(3);
+                    let back = match rng.below(16) {
+                        0 => rng.below(4_000),
+                        1..=4 => rng.below(64),
+                        _ => 0,
+                    };
+                    let cycle = newest.saturating_sub(back);
+                    let got = ring.reserve(cycle, cap);
+                    assert_eq!(
+                        got,
+                        reference.reserve(cycle, cap),
+                        "cap {cap} seed {seed} step {step} cycle {cycle}"
+                    );
+                    newest = newest.max(got);
+                }
+            }
+        }
+    }
+
+    /// The in-order stage counter against the modulo ring over
+    /// non-decreasing request streams: the same reserved cycles.
+    #[test]
+    fn in_order_matches_the_modulo_reference() {
+        for cap in [1u8, 2, 3, 4] {
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(seed * 29 + cap as u64);
+                let mut stage = InOrder::default();
+                let mut reference = ModRing::new(RING_SLOTS);
+                let mut cycle = rng.below(3);
+                for step in 0..100_000 {
+                    // Bursts of equal requests overflow into later cycles.
+                    cycle += match rng.below(8) {
+                        0..=3 => 0,
+                        4..=6 => 1,
+                        _ => rng.below(40),
+                    };
+                    assert_eq!(
+                        stage.reserve(cycle, cap),
+                        reference.reserve(cycle, cap),
+                        "cap {cap} seed {seed} step {step} cycle {cycle}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ring slot aliased")]
+    fn ring_asserts_on_a_request_past_the_horizon() {
+        let mut ring = Ring::new();
+        ring.reserve(RING_SLOTS as u64 + 5, 4);
+        ring.reserve(5, 4);
+    }
+
+    #[test]
+    fn history_keeps_the_window_for_any_capacity() {
+        for cap in [1usize, 3, 32, 64, 96] {
+            let mut h = History::new(cap);
+            for v in 0..1000u64 {
+                h.push(v * 3);
+                let len = h.len();
+                for idx in len.saturating_sub(cap as u64)..len {
+                    assert_eq!(h.get(idx), idx * 3, "cap {cap}");
+                }
+            }
+        }
     }
 
     #[test]
