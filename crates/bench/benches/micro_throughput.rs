@@ -123,18 +123,30 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// Median wall-clock of `samples` runs of `f` (one untimed warm-up).
-fn median_secs<R>(samples: usize, mut f: impl FnMut() -> R) -> f64 {
-    f();
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
+/// Median wall-clock of each series over `samples` rounds, sampled
+/// round-robin: one untimed warm-up of every series, then sample *k* of
+/// every series runs before sample *k + 1* of any. Machine drift (clock
+/// boost, a noisy neighbour) then lands on all series alike, so a ratio
+/// between two series compares samples taken at the same time.
+fn interleaved_median_secs<const N: usize>(
+    samples: usize,
+    mut series: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    for f in series.iter_mut() {
+        f();
+    }
+    let mut times = [(); N].map(|_| Vec::with_capacity(samples));
+    for _ in 0..samples {
+        for (f, t) in series.iter_mut().zip(&mut times) {
             let start = Instant::now();
-            criterion::black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort();
-    times[times.len() / 2].as_secs_f64()
+            f();
+            t.push(start.elapsed());
+        }
+    }
+    times.map(|mut t: Vec<Duration>| {
+        t.sort();
+        t[t.len() / 2].as_secs_f64()
+    })
 }
 
 /// Measure fused vs materialized records/sec and write the JSON report.
@@ -150,8 +162,17 @@ fn throughput_report(smoke: bool) {
     // anything.
     assert_eq!(run_fused(&program), run_materialized(&program), "fused != materialized");
 
-    let fused = median_secs(samples, || run_fused(&program));
-    let materialized = median_secs(samples, || run_materialized(&program));
+    let [fused, materialized] = interleaved_median_secs(
+        samples,
+        [
+            &mut || {
+                criterion::black_box(run_fused(&program));
+            },
+            &mut || {
+                criterion::black_box(run_materialized(&program));
+            },
+        ],
+    );
     let fused_rps = records as f64 / fused;
     let materialized_rps = records as f64 / materialized;
     println!(
@@ -232,49 +253,6 @@ fn vm_report(smoke: bool) {
     let steps = flat_outcome.steps;
     let fused_count = og_vm::FlatProgram::lower(&program, &layout).fused_count();
 
-    // Plain emulation (no sink): the golden-digest / oracle path.
-    let flat = median_secs(samples, || {
-        let mut vm = Vm::new(&program, RunConfig::default());
-        vm.run().expect("runs")
-    });
-    let reference = median_secs(samples, || {
-        let mut vm = Vm::new(&program, RunConfig::default());
-        vm.run_reference().expect("runs")
-    });
-    // Streamed emulation: the fused pipeline path, with a sink that
-    // forces every record to be produced but does no downstream work.
-    let flat_streamed = median_secs(samples, || {
-        let mut vm = Vm::new(&program, RunConfig::default());
-        vm.run_streamed(&mut og_vm::NullSink).expect("runs")
-    });
-    let reference_streamed = median_secs(samples, || {
-        let mut vm = Vm::new(&program, RunConfig::default());
-        vm.run_reference_streamed(&mut og_vm::NullSink).expect("runs")
-    });
-    // Trusted lowering: the verifier runs once up front (inside
-    // `new_verified`, so its cost is charged to this series) and the hot
-    // loop drops the per-step malformed-slot check.
-    let trusted = median_secs(samples, || {
-        let mut vm = Vm::new_verified(&program, RunConfig::default()).expect("verifies");
-        vm.run().expect("runs")
-    });
-    let trusted_streamed = median_secs(samples, || {
-        let mut vm = Vm::new_verified(&program, RunConfig::default()).expect("verifies");
-        vm.run_streamed(&mut og_vm::NullSink).expect("runs")
-    });
-    // The fusion A/B partner: same untrusted stats engine, fusion off.
-    let unfused = median_secs(samples, || {
-        let lowered = og_vm::FlatProgram::lower_unfused(&program, &layout);
-        let mut vm = Vm::with_lowered(&program, RunConfig::default(), lowered);
-        vm.run().expect("runs")
-    });
-    // The single-stream headline: trusted + fused + no-stats — every
-    // check and every piece of bookkeeping that is not the architectural
-    // outcome compiled out (verify and lowering charged to the series).
-    let fused_nostats = median_secs(samples, || {
-        let mut vm = Vm::new_verified(&program, RunConfig::default()).expect("verifies");
-        vm.run_nostats().expect("runs")
-    });
     // The aggregate headline: many independent trusted VMs round-robin
     // stepped by one BatchRunner per core, sharded across the worker
     // pool by `og_lab::run_batch`.
@@ -282,9 +260,8 @@ fn vm_report(smoke: bool) {
     let batch_lanes = (2 * cores).max(8);
     let batch_program = std::sync::Arc::new(program.clone());
     let pool = og_lab::WorkerPool::with_default_parallelism();
-    {
-        // Batched execution must agree with solo before its speed counts.
-        let jobs: Vec<og_lab::BatchJob> = (0..batch_lanes)
+    let batch_jobs = || -> Vec<og_lab::BatchJob> {
+        (0..batch_lanes)
             .map(|_| {
                 og_lab::BatchJob::verified(
                     std::sync::Arc::clone(&batch_program),
@@ -292,24 +269,75 @@ fn vm_report(smoke: bool) {
                 )
                 .expect("verifies")
             })
-            .collect();
-        for slot in og_lab::run_batch(&pool, jobs) {
-            let outcome = slot.expect("no shard lost").expect("runs");
-            assert_eq!(outcome, flat_outcome, "batched != solo outcome");
-        }
+            .collect()
+    };
+    // Batched execution must agree with solo before its speed counts.
+    for slot in og_lab::run_batch(&pool, batch_jobs()) {
+        let outcome = slot.expect("no shard lost").expect("runs");
+        assert_eq!(outcome, flat_outcome, "batched != solo outcome");
     }
-    let batch = median_secs(samples, || {
-        let jobs: Vec<og_lab::BatchJob> = (0..batch_lanes)
-            .map(|_| {
-                og_lab::BatchJob::verified(
-                    std::sync::Arc::clone(&batch_program),
-                    RunConfig::default(),
-                )
-                .expect("verifies")
-            })
-            .collect();
-        og_lab::run_batch(&pool, jobs)
-    });
+
+    // Every engine series is sampled round-robin, so each ratio over the
+    // reference engine (the gate's yardstick) compares samples taken
+    // side by side. Each closure builds its VM inside the timed region.
+    let medians = interleaved_median_secs(
+        samples,
+        [
+            // Plain emulation (no sink): the golden-digest / oracle path.
+            &mut || {
+                let mut vm = Vm::new(&program, RunConfig::default());
+                criterion::black_box(vm.run().expect("runs"));
+            },
+            &mut || {
+                let mut vm = Vm::new(&program, RunConfig::default());
+                criterion::black_box(vm.run_reference().expect("runs"));
+            },
+            // Streamed emulation: the fused pipeline path, with a sink
+            // that forces every record to be produced but does no
+            // downstream work.
+            &mut || {
+                let mut vm = Vm::new(&program, RunConfig::default());
+                criterion::black_box(vm.run_streamed(&mut og_vm::NullSink).expect("runs"));
+            },
+            &mut || {
+                let mut vm = Vm::new(&program, RunConfig::default());
+                criterion::black_box(
+                    vm.run_reference_streamed(&mut og_vm::NullSink).expect("runs"),
+                );
+            },
+            // Trusted lowering: the verifier runs once up front (inside
+            // `new_verified`, so its cost is charged to this series) and
+            // the hot loop drops the per-step malformed-slot check.
+            &mut || {
+                let mut vm = Vm::new_verified(&program, RunConfig::default()).expect("verifies");
+                criterion::black_box(vm.run().expect("runs"));
+            },
+            &mut || {
+                let mut vm = Vm::new_verified(&program, RunConfig::default()).expect("verifies");
+                criterion::black_box(vm.run_streamed(&mut og_vm::NullSink).expect("runs"));
+            },
+            // The fusion A/B partner: same untrusted stats engine,
+            // fusion off.
+            &mut || {
+                let lowered = og_vm::FlatProgram::lower_unfused(&program, &layout);
+                let mut vm = Vm::with_lowered(&program, RunConfig::default(), lowered);
+                criterion::black_box(vm.run().expect("runs"));
+            },
+            // The single-stream headline: trusted + fused + no-stats —
+            // every check and every piece of bookkeeping that is not the
+            // architectural outcome compiled out (verify and lowering
+            // charged to the series).
+            &mut || {
+                let mut vm = Vm::new_verified(&program, RunConfig::default()).expect("verifies");
+                criterion::black_box(vm.run_nostats().expect("runs"));
+            },
+            &mut || {
+                criterion::black_box(og_lab::run_batch(&pool, batch_jobs()));
+            },
+        ],
+    );
+    let [flat, reference, flat_streamed, reference_streamed, trusted, trusted_streamed, unfused, fused_nostats, batch] =
+        medians;
 
     let flat_sps = steps as f64 / flat;
     let reference_sps = steps as f64 / reference;

@@ -21,12 +21,13 @@
 //! significance, so `og-power` prices all five schemes from the same
 //! activity record.
 //!
-//! The full study fans out across a worker pool: the 8 baselines run
-//! first (their digests are the equivalence oracle for everything else),
-//! then the remaining 64 (benchmark, mechanism) runs are drained from a
-//! shared queue — work-stealing granularity of one run, instead of the
-//! old one-thread-per-benchmark shape whose wall-clock was bounded by
-//! the slowest benchmark's nine serial mechanisms.
+//! The full study runs one worker-pool job per benchmark. Many
+//! mechanisms transform a benchmark into the same code (VRS at every
+//! cost often leaves the VRP program, and VRP and its aggressive
+//! ablation often coincide), so a job runs step 3 once per *distinct*
+//! transformed program and steps 4–5 once per mechanism, folding the
+//! shared pass into the summary of every mechanism that produced it:
+//! 25 passes for the 72 summaries of the suite.
 //!
 //! ## The study cache
 //!
@@ -73,8 +74,9 @@ pub use pool::WorkerPool;
 
 use og_isa::OpClass;
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
+use og_program::{FuncId, Function};
 use og_sim::{ActivityCounts, CycleStats, Structure};
-use og_vm::RunConfig;
+use og_vm::{RunConfig, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -524,13 +526,15 @@ fn drain_indexed<T>(
 
 /// Run the full study without touching the cache.
 ///
-/// Parallelized at (benchmark, mechanism) granularity on a
-/// [`WorkerPool`]: the 8 baselines fan out first (their digests gate
-/// everything else), then the remaining 64 runs are submitted as
-/// individual jobs, so no worker is ever stuck behind one benchmark's
-/// queue. The assembled run order (benchmark-major, in [`Mech::ALL`]
-/// order) is identical to the old serial implementation, so cached
-/// studies and serialized layouts are unaffected.
+/// One [`WorkerPool`] job per benchmark (`study_bench`) builds the
+/// `Ref` and `Train` programs once, applies every [`Mech::ALL`]
+/// transform, and runs the fused emulate+simulate pass only for code
+/// it has not already run; each mechanism's summary is folded from its
+/// program's pass. The baseline's digest is every other mechanism's
+/// expected digest, and a phase-0 run of the baselines through the
+/// batched no-stats engine must agree with it. The runs come out
+/// benchmark-major, in [`Mech::ALL`] order, exactly as 72 independent
+/// [`run_pipeline`] calls would produce them.
 pub fn compute_study() -> Study {
     STUDY_RECOMPUTES.fetch_add(1, Ordering::Relaxed);
     let pool = WorkerPool::with_default_parallelism();
@@ -538,7 +542,8 @@ pub fn compute_study() -> Study {
     // Phase 0: run every baseline through the batched no-stats engine.
     // Cheap relative to the full pipeline (no simulation, no stats) and
     // it cross-checks the fused+batched fast path against the full
-    // engine on every study recompute: phase 1's digests must agree.
+    // engine on every study recompute: the study's baseline digests
+    // must agree.
     let batch_jobs: Vec<BatchJob> = NAMES
         .iter()
         .map(|&bench| {
@@ -557,52 +562,72 @@ pub fn compute_study() -> Study {
         })
         .collect();
 
-    // Phase 1: baselines (8 independent jobs).
     let (tx, rx) = std::sync::mpsc::channel();
     for (bi, &bench) in NAMES.iter().enumerate() {
         let tx = tx.clone();
         pool.submit(move || {
-            let summary = run_pipeline(bench, Mech::Baseline, None);
-            tx.send((bi, summary)).expect("study collector alive");
+            let (runs, _) = study_bench(bench);
+            tx.send((bi, runs)).expect("study collector alive");
         });
     }
     drop(tx);
-    let baselines: Vec<RunSummary> = drain_indexed(rx, NAMES.len(), &pool, "baselines")
-        .into_iter()
-        .map(|s| s.expect("one baseline per bench"))
-        .collect();
-    let digests: Vec<u64> = baselines.iter().map(|r| r.digest).collect();
-    assert_eq!(
-        digests, batch_digests,
-        "batched no-stats engine diverged from the full pipeline on a baseline digest"
-    );
+    let rows = drain_indexed(rx, NAMES.len(), &pool, "benchmark rows");
 
-    // Phase 2: every remaining (benchmark, mechanism) pair as one job.
-    let pairs: Vec<(usize, Mech)> = (0..NAMES.len())
-        .flat_map(|bi| Mech::ALL.into_iter().skip(1).map(move |mech| (bi, mech)))
-        .collect();
-    let (tx, rx) = std::sync::mpsc::channel();
-    for (idx, &(bi, mech)) in pairs.iter().enumerate() {
-        let tx = tx.clone();
-        let expected = digests[bi];
-        pool.submit(move || {
-            let summary = run_pipeline(NAMES[bi], mech, Some(expected));
-            tx.send((idx, summary)).expect("study collector alive");
-        });
-    }
-    drop(tx);
-    let extras = drain_indexed(rx, pairs.len(), &pool, "bench x mech runs");
-
-    // Assemble benchmark-major, Mech::ALL order.
-    let mut extras = extras.into_iter().map(|s| s.expect("one summary per pair"));
     let mut runs = Vec::with_capacity(NAMES.len() * Mech::ALL.len());
-    for base in baselines {
-        runs.push(base);
-        for _ in 1..Mech::ALL.len() {
-            runs.push(extras.next().expect("one summary per pair"));
-        }
+    for (row, batch_digest) in rows.into_iter().zip(batch_digests) {
+        let row = row.expect("one row per bench");
+        assert_eq!(
+            row[0].digest, batch_digest,
+            "batched no-stats engine diverged from the full pipeline on {}'s baseline digest",
+            row[0].bench
+        );
+        runs.extend(row);
     }
     Study::new(STUDY_VERSION, runs)
+}
+
+/// One benchmark's row of the study: its summaries in [`Mech::ALL`]
+/// order, and how many fused emulate+simulate passes produced them.
+///
+/// Transforms rewrite code and never the data segment (asserted), so
+/// the memo key is the code alone — `funcs` and `entry` — and a
+/// mechanism whose program equals an earlier one's reuses that pass.
+/// Keeping only the code, not whole programs, keeps the data segments
+/// (up to 233 KB) out of the memo.
+///
+/// # Panics
+///
+/// Panics if a transform fails, a pass fails to run, or a mechanism's
+/// output diverges from the baseline's.
+fn study_bench(bench: &str) -> (Vec<RunSummary>, usize) {
+    let base = by_name(bench, InputSet::Ref).program;
+    let train = by_name(bench, InputSet::Train).program;
+    let mut passes: Vec<(Vec<Function>, FuncId, pipeline::Executed)> = Vec::new();
+    let mut runs: Vec<RunSummary> = Vec::with_capacity(Mech::ALL.len());
+    for mech in Mech::ALL {
+        let mut program = base.clone();
+        let vrs = pipeline::apply_mech(&mut program, mech, Some(&train))
+            .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        assert!(program.data == base.data, "{bench}/{mech:?}: transform touched the data segment");
+        let i = match passes
+            .iter()
+            .position(|(funcs, entry, _)| *entry == program.entry && *funcs == program.funcs)
+        {
+            Some(i) => i,
+            None => {
+                let run = pipeline::execute(Vm::new(&program, RunConfig::default()))
+                    .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+                passes.push((program.funcs.clone(), program.entry, run));
+                passes.len() - 1
+            }
+        };
+        // The baseline runs first; its digest is everyone else's oracle.
+        let expected = runs.first().map(|base| base.digest);
+        let summary = pipeline::summarize(bench, mech, &program, &passes[i].2, expected, vrs)
+            .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
+        runs.push(summary);
+    }
+    (runs, passes.len())
 }
 
 /// Dynamic Table 3 rows: per-class percentage of instructions and width
@@ -704,6 +729,15 @@ mod tests {
         let e_base = base.energy(&model, GatingScheme::None).total_nj;
         let e_vrp = vrp.energy(&model, GatingScheme::Software).total_nj;
         assert!(e_vrp < e_base, "{e_vrp} < {e_base}");
+    }
+
+    /// The saving [`compute_study`] exists for: 25 fused passes, not 72.
+    /// A change to `Program`/`Function` equality that silently stops
+    /// reuse fails here instead of only slowing the study down.
+    #[test]
+    fn study_bench_runs_each_distinct_program_once() {
+        let passes: Vec<usize> = NAMES.iter().map(|bench| study_bench(bench).1).collect();
+        assert_eq!(passes, [2, 4, 3, 3, 3, 2, 4, 4], "fused passes per benchmark, {NAMES:?}");
     }
 
     #[test]

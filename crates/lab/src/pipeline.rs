@@ -14,15 +14,23 @@
 //! * [`apply_mech`] — just the program transformation, exposed so a
 //!   caller can apply once and measure many times.
 //!
-//! The name-keyed [`crate::run_pipeline`] is now a thin wrapper:
+//! Every measurement is the same two steps: [`execute`] runs the fused
+//! emulate+simulate pass into an [`Executed`], and [`summarize`] checks
+//! its digest and folds it into one mechanism's [`RunSummary`]. The two
+//! entry points above call them back to back; [`crate::compute_study`]
+//! runs [`execute`] once per distinct transformed program of a
+//! benchmark and calls [`summarize`] once per mechanism.
+//!
+//! The name-keyed [`crate::run_pipeline`] is a thin wrapper:
 //! build workload → [`run_program`] → unwrap. The equivalence suite
-//! pins that wrapper bit-identical to the warm study cache.
+//! pins `run_program` byte-identical to every summary of a freshly
+//! computed study.
 
 use crate::{Mech, RunSummary, VrsSummary};
 use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
 use og_program::Program;
-use og_sim::{MachineConfig, Simulator};
-use og_vm::{FlatProgram, RunConfig, Vm, VmError};
+use og_sim::{MachineConfig, SimResult, Simulator};
+use og_vm::{DynStats, FlatProgram, RunConfig, RunOutcome, Vm, VmError};
 use std::fmt;
 
 /// Why a measurement could not produce a [`RunSummary`]. Everything a
@@ -143,8 +151,8 @@ pub fn run_program(
 ) -> Result<RunSummary, RunError> {
     let mut program = program.clone();
     let vrs = apply_mech(&mut program, mech, train)?;
-    let vm = Vm::new(&program, config);
-    finish(name, mech, &program, vm, expected_digest, vrs)
+    let run = execute(Vm::new(&program, config))?;
+    summarize(name, mech, &program, &run, expected_digest, vrs)
 }
 
 /// Measure a program through an **already-lowered** flat artifact — the
@@ -168,29 +176,48 @@ pub fn run_lowered(
     flat: FlatProgram,
     config: RunConfig,
 ) -> Result<RunSummary, RunError> {
-    let vm = Vm::with_lowered(program, config, flat);
-    finish(name, Mech::Baseline, program, vm, None, None)
+    let run = execute(Vm::with_lowered(program, config, flat))?;
+    summarize(name, Mech::Baseline, program, &run, None, None)
 }
 
-/// The shared back half: run the fused emulate+simulate pass and fold
-/// the outcome into a [`RunSummary`].
-fn finish(
+/// One fused emulate+simulate pass, before it is folded into a
+/// [`RunSummary`]. Equal code over an equal data segment runs
+/// deterministically to an equal `Executed`, which is what lets
+/// [`crate::compute_study`] fold one pass into every mechanism whose
+/// transform produced that code.
+pub(crate) struct Executed {
+    outcome: RunOutcome,
+    stats: DynStats,
+    sim: SimResult,
+}
+
+/// The shared first step: run `vm` to completion, streaming every
+/// committed instruction into a fresh cycle-level [`Simulator`].
+pub(crate) fn execute(mut vm: Vm<'_>) -> Result<Executed, RunError> {
+    let mut sim = Simulator::new(MachineConfig::default());
+    let outcome = vm.run_streamed(&mut sim)?;
+    let (stats, _) = vm.into_parts();
+    Ok(Executed { outcome, stats, sim: sim.finish() })
+}
+
+/// The shared second step: check `run`'s digest against
+/// `expected_digest`, then fold the pass into `mech`'s [`RunSummary`],
+/// pricing `vrs` against the dynamic block counts of `program` (the
+/// transformed program the pass ran).
+pub(crate) fn summarize(
     name: &str,
     mech: Mech,
     program: &Program,
-    mut vm: Vm<'_>,
+    run: &Executed,
     expected_digest: Option<u64>,
     vrs: Option<VrsRaw>,
 ) -> Result<RunSummary, RunError> {
-    let mut sim = Simulator::new(MachineConfig::default());
-    let outcome = vm.run_streamed(&mut sim)?;
+    let Executed { outcome, stats, sim } = run;
     if let Some(expected) = expected_digest {
         if outcome.output_digest != expected {
             return Err(RunError::DigestMismatch { expected, actual: outcome.output_digest });
         }
     }
-    let (stats, _) = vm.into_parts();
-    let sim = sim.finish();
 
     let vrs_summary = vrs.map(|raw| {
         let total = stats.steps.max(1) as f64;
@@ -222,8 +249,8 @@ fn finish(
         width_fracs: stats.width_fractions(),
         sig_fracs: stats.sig_fractions(),
         class_width: stats.class_width,
-        sim: sim.stats,
-        activity: sim.activity,
+        sim: sim.stats.clone(),
+        activity: sim.activity.clone(),
         vrs: vrs_summary,
     })
 }

@@ -1,20 +1,21 @@
-//! Library-ification equivalence: the program-first [`og_lab::run_program`]
-//! path must reproduce every `RunSummary` of the (warm) study cache
-//! **byte-identically** — same digests, same `STUDY_VERSION`, same JSON
-//! bytes. This is the contract that let `run_pipeline`/`compute_study`
-//! become thin wrappers over the library core without invalidating any
-//! cached study: if this test holds, a study computed through the old
-//! name-keyed path and one computed through the service path are the
-//! same artifact.
+//! Study equivalence: [`og_lab::compute_study`] runs one fused pass per
+//! *distinct* transformed program and folds it into every mechanism
+//! that produced that code. Each of its 72 summaries must be
+//! **byte-identical** — same digests, same JSON bytes — to an
+//! independent, non-deduplicated [`og_lab::run_program`] of the same
+//! (benchmark, mechanism) pair. The study is computed fresh here, never
+//! loaded from the on-disk cache, which older code may have written.
+//! The same check pins the program-first entry point that
+//! `run_pipeline` and the service wrap to the study's artifact.
 
-use og_lab::{run_program, shared_study, Mech, WorkerPool, STUDY_VERSION};
+use og_lab::{compute_study, run_program, Mech, WorkerPool, STUDY_VERSION};
 use og_vm::RunConfig;
 use og_workloads::{by_name, InputSet, NAMES};
 use std::sync::mpsc;
 
 #[test]
-fn run_program_reproduces_every_cached_summary_byte_identically() {
-    let study = shared_study();
+fn run_program_reproduces_every_fresh_study_summary_byte_identically() {
+    let study = compute_study();
     assert_eq!(study.version, STUDY_VERSION);
     assert_eq!(
         study.runs().len(),
@@ -22,8 +23,8 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
         "the study must hold the full bench x mech matrix"
     );
 
-    // Re-run the whole matrix through the program-first entry point, on
-    // the same worker pool the study computation uses.
+    // Re-run the whole matrix through the program-first entry point, one
+    // independent pass per pair, on the same worker pool the study uses.
     let pool = WorkerPool::with_default_parallelism();
     let (tx, rx) = mpsc::channel();
     for (i, run) in study.runs().iter().enumerate() {
@@ -44,20 +45,20 @@ fn run_program_reproduces_every_cached_summary_byte_identically() {
 
     let mut seen = 0usize;
     for (i, summary) in rx {
-        let cached = &study.runs()[i];
+        let computed = &study.runs()[i];
         assert_eq!(
-            &summary, cached,
-            "run_program diverged from the cached {}/{:?}",
-            cached.bench, cached.mech
+            &summary, computed,
+            "run_program diverged from the study's {}/{:?}",
+            computed.bench, computed.mech
         );
         // Byte-level, not just PartialEq: the serialized form is what
         // the cache file and the service's keyed store actually hold.
         assert_eq!(
             serde_json::to_string(&summary).unwrap(),
-            serde_json::to_string(cached).unwrap(),
+            serde_json::to_string(computed).unwrap(),
             "serialized bytes diverged for {}/{:?}",
-            cached.bench,
-            cached.mech
+            computed.bench,
+            computed.mech
         );
         seen += 1;
     }

@@ -83,7 +83,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{Rng, VecCache};
+    use crate::reference::{LruList, Rng, VecCache};
 
     #[test]
     fn hits_after_fill() {
@@ -163,6 +163,34 @@ mod tests {
                     );
                 }
                 assert_eq!((flat.accesses, flat.misses), (reference.accesses, reference.misses));
+            }
+        }
+    }
+
+    /// A one-set cache is fully associative: against the naive LRU list
+    /// of whole line addresses, the same hit/miss on every access, over
+    /// streams that revisit a working set a little larger than the cache
+    /// (so reuse and eviction both happen) plus cold random lines.
+    #[test]
+    fn one_set_matches_the_fully_associative_lru_list() {
+        const LINE: u32 = 32;
+        for assoc in [1u32, 2, 4, 8, 16] {
+            for seed in 0..4u64 {
+                let mut rng = Rng::new(seed * 977 + assoc as u64);
+                let mut flat = Cache::new(LINE * assoc, assoc, LINE);
+                let mut naive = LruList::new(assoc as usize, LINE);
+                let hot = 2 * assoc as u64 + 1;
+                for step in 0..20_000 {
+                    let addr = match rng.below(4) {
+                        0..=2 => rng.below(hot) * LINE as u64 + rng.below(LINE as u64),
+                        _ => rng.next(),
+                    };
+                    assert_eq!(
+                        flat.access(addr),
+                        naive.access(addr),
+                        "{assoc}-way seed {seed} step {step} addr {addr:#x}"
+                    );
+                }
             }
         }
     }

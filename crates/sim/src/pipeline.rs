@@ -552,6 +552,7 @@ impl Simulator {
 
         // ---- commit -------------------------------------------------
         let c = self.retire_ring.reserve(complete.max(self.last_commit), cfg.retire_width as u8);
+        debug_assert!(c >= self.last_commit, "commit went back from {} to {c}", self.last_commit);
         self.last_commit = c;
         self.commit_hist.push(c);
         self.act.record_plain(Structure::Rob);

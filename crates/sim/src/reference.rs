@@ -50,6 +50,38 @@ impl VecCache {
     }
 }
 
+/// A fully-associative true-LRU cache of `lines` lines as one
+/// MRU-first list of whole line addresses — no sets, no tag split. The
+/// naive model a one-set [`crate::Cache`] must match access for access.
+pub struct LruList {
+    lines: Vec<u64>,
+    capacity: usize,
+    line_shift: u32,
+}
+
+impl LruList {
+    pub fn new(capacity: usize, line: u32) -> LruList {
+        LruList { lines: Vec::new(), capacity, line_shift: line.trailing_zeros() }
+    }
+
+    /// True on a hit; either way the line becomes most recently used.
+    pub fn access(&mut self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        let hit = match self.lines.iter().position(|&l| l == line) {
+            Some(pos) => {
+                self.lines.remove(pos);
+                true
+            }
+            None => {
+                self.lines.truncate(self.capacity - 1);
+                false
+            }
+        };
+        self.lines.insert(0, line);
+        hit
+    }
+}
+
 /// The branch target buffer: 512 sets × 4 ways of (tag, target), one
 /// MRU-first list per set.
 pub struct VecBtb {
