@@ -35,7 +35,10 @@
 //!    committed-path trace also drives the
 //!    cycle simulator both fused (flat engine) and materialized
 //!    (reference engine), and the two [`SimResult`]s must match
-//!    bit-for-bit; periodically a passing case is also replayed under
+//!    bit-for-bit, and the case's VRP transform, run into a value
+//!    counter only and composed with the untransformed timing, must
+//!    match its own full simulation whenever the paths agree;
+//!    periodically a passing case is also replayed under
 //!    one seeded soft error ([`fault_cross_check`]) and the fault
 //!    classifier must be sound both ways — never `Masked` with a
 //!    changed output digest, never `Sdc` with an unchanged one
@@ -101,10 +104,11 @@ pub use campaign::{
 };
 
 use og_core::oracle::OracleConfig;
+use og_core::{UsefulPolicy, VrpConfig, VrpPass};
 use og_program::generate::GenConfig;
 use og_program::rng::SplitMix64;
 use og_program::Program;
-use og_sim::{MachineConfig, SimResult, Simulator};
+use og_sim::{MachineConfig, SimResult, Simulator, ValueCounter};
 use og_vm::{BatchRunner, FlatProgram, RunConfig, VecSink, Vm};
 
 /// Run a campaign with the given config.
@@ -157,25 +161,54 @@ pub fn case_oracle_config(step_bound: u64) -> OracleConfig {
 /// the engines produce (pc chaining, operand significances, memory
 /// addresses) surfaces here as a `SimResult` mismatch.
 ///
+/// Then the value-only path `og_lab::compute_study` takes for
+/// width-only variants: the case's VRP transform ([`UsefulPolicy::Paper`])
+/// runs into a [`ValueCounter`] alone, and whenever its path digest
+/// agrees with the untransformed run's, its values composed with the
+/// untransformed timing must equal its own full simulation.
+///
 /// # Errors
 ///
 /// Returns a description of the first mismatch.
 pub fn sim_cross_check(p: &Program, max_steps: u64) -> Result<(), String> {
     let cfg = RunConfig { max_steps, ..Default::default() };
-    let mut vm = Vm::new(p, cfg.clone());
-    let mut sim = Simulator::new(MachineConfig::default());
-    vm.run_streamed(&mut sim).map_err(|e| format!("fused run failed: {e}"))?;
-    let fused: SimResult = sim.finish();
+    let simulate = |p: &Program| {
+        let mut sim = Simulator::new(MachineConfig::default());
+        Vm::new(p, cfg.clone()).run_streamed(&mut sim).map(|_| sim.finish_timed())
+    };
+    let (fused, timing) = simulate(p).map_err(|e| format!("fused run failed: {e}"))?;
 
-    let mut vm = Vm::new(p, cfg);
+    let mut vm = Vm::new(p, cfg.clone());
     let mut sink = VecSink::new();
     vm.run_reference_streamed(&mut sink).map_err(|e| format!("capture run failed: {e}"))?;
-    let materialized = Simulator::new(MachineConfig::default()).run(&sink.into_records());
+    let materialized: SimResult =
+        Simulator::new(MachineConfig::default()).run(&sink.into_records());
 
     if fused != materialized {
         return Err(format!(
             "fused and materialized SimResults diverge: fused {} cycles, materialized {} cycles",
             fused.stats.cycles, materialized.stats.cycles
+        ));
+    }
+
+    let mut vrp = p.clone();
+    VrpPass::new(VrpConfig { useful_policy: UsefulPolicy::Paper, ..Default::default() })
+        .run(&mut vrp);
+    if !vrp.eq_ignoring_widths(p) {
+        // Not a width-only variant: the study would time it in full.
+        return Ok(());
+    }
+    let mut counter = ValueCounter::new();
+    Vm::new(&vrp, cfg.clone())
+        .run_streamed(&mut counter)
+        .map_err(|e| format!("value-only VRP run failed: {e}"))?;
+    let Some(composed) = timing.compose(&counter.finish()) else { return Ok(()) };
+    let (full, _) = simulate(&vrp).map_err(|e| format!("full VRP run failed: {e}"))?;
+    if composed != full {
+        return Err(format!(
+            "VRP values composed with the untransformed timing diverge from VRP's full \
+             simulation on the same path: composed {} cycles, full {} cycles",
+            composed.stats.cycles, full.stats.cycles
         ));
     }
     Ok(())
@@ -323,6 +356,31 @@ mod tests {
     fn sim_cross_check_passes_on_a_generated_program() {
         let (p, bound) = generate_with_bound(&case_gen_config(42, 0));
         sim_cross_check(&p, bound).unwrap();
+    }
+
+    /// The value-only leg of [`sim_cross_check`] is not vacuous: VRP
+    /// narrows generated programs without changing their code otherwise
+    /// or their path, so the composed result really is compared.
+    #[test]
+    fn sim_cross_check_composes_vrp_values_on_generated_programs() {
+        let mut composed = 0;
+        for index in 0..8 {
+            let (p, bound) = generate_with_bound(&case_gen_config(42, index));
+            sim_cross_check(&p, bound).unwrap_or_else(|e| panic!("case {index}: {e}"));
+            let mut vrp = p.clone();
+            VrpPass::new(VrpConfig { useful_policy: UsefulPolicy::Paper, ..Default::default() })
+                .run(&mut vrp);
+            let cfg = RunConfig { max_steps: bound, ..Default::default() };
+            let path = |p: &Program| {
+                let mut counter = ValueCounter::new();
+                Vm::new(p, cfg.clone()).run_streamed(&mut counter).unwrap();
+                counter.path()
+            };
+            if vrp != p && vrp.eq_ignoring_widths(&p) && path(&vrp) == path(&p) {
+                composed += 1;
+            }
+        }
+        assert!(composed >= 6, "only {composed} of 8 cases reached the composed comparison");
     }
 
     #[test]

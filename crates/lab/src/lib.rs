@@ -27,7 +27,12 @@
 //! ablation often coincide), so a job runs step 3 once per *distinct*
 //! transformed program and steps 4–5 once per mechanism, folding the
 //! shared pass into the summary of every mechanism that produced it:
-//! 25 passes for the 72 summaries of the suite.
+//! 25 passes for the 72 summaries of the suite. Most distinct programs
+//! differ from the baseline only in opcode widths, and widths do not
+//! move the timing model, so only 10 of the 25 passes are timed (VM
+//! into the full simulator). The other 15 are value-only: the VM
+//! streams into an `og_sim::ValueCounter`, and the timing comes from
+//! the timed pass over the same code and path (`og_sim::PathTiming`).
 //!
 //! ## The study cache
 //!
@@ -74,16 +79,16 @@ pub use pool::WorkerPool;
 
 use og_isa::OpClass;
 use og_power::{ed2_improvement, EnergyModel, EnergyReport, GatingScheme};
-use og_program::{FuncId, Function};
+use og_program::{FuncId, Function, Program};
 use og_sim::{ActivityCounts, CycleStats, Structure};
-use og_vm::{RunConfig, Vm};
+use og_vm::{RunConfig, RunOutcome, Vm};
 use og_workloads::{by_name, InputSet, NAMES};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Bump when pipeline semantics change to invalidate cached studies.
 ///
@@ -528,13 +533,19 @@ fn drain_indexed<T>(
 ///
 /// One [`WorkerPool`] job per benchmark (`study_bench`) builds the
 /// `Ref` and `Train` programs once, applies every [`Mech::ALL`]
-/// transform, and runs the fused emulate+simulate pass only for code
-/// it has not already run; each mechanism's summary is folded from its
-/// program's pass. The baseline's digest is every other mechanism's
-/// expected digest, and a phase-0 run of the baselines through the
-/// batched no-stats engine must agree with it. The runs come out
-/// benchmark-major, in [`Mech::ALL`] order, exactly as 72 independent
-/// [`run_pipeline`] calls would produce them.
+/// transform, and runs one pass only for code it has not already run;
+/// each mechanism's summary is folded from its program's pass. A pass
+/// over code that equals an already timed pass's with widths ignored is
+/// value-only (the VM feeds a value counter, and the timed pass lends
+/// its timing once the path digests agree); any other pass is the fused
+/// emulate+simulate pass. On the suite that is 10 timed and 15
+/// value-only passes for the 72 summaries. The baseline's digest is
+/// every other mechanism's expected digest, and a phase-0 run of the
+/// baselines through the batched no-stats engine must agree with it.
+/// The jobs take the benchmarks longest first, by the baselines'
+/// phase-0 step counts, so the pool never starts its largest job last.
+/// The runs come out benchmark-major, in [`Mech::ALL`] order, exactly
+/// as 72 independent [`run_pipeline`] calls would produce them.
 pub fn compute_study() -> Study {
     STUDY_RECOMPUTES.fetch_add(1, Ordering::Relaxed);
     let pool = WorkerPool::with_default_parallelism();
@@ -547,26 +558,34 @@ pub fn compute_study() -> Study {
     let batch_jobs: Vec<BatchJob> = NAMES
         .iter()
         .map(|&bench| {
-            let program = std::sync::Arc::new(by_name(bench, InputSet::Ref).program);
+            let program = Arc::new(by_name(bench, InputSet::Ref).program);
             BatchJob::verified(program, RunConfig::default())
                 .unwrap_or_else(|e| panic!("{bench}: workload must verify: {e:?}"))
         })
         .collect();
-    let batch_digests: Vec<u64> = run_batch(&pool, batch_jobs)
+    let baselines: Vec<RunOutcome> = run_batch(&pool, batch_jobs)
         .into_iter()
         .zip(NAMES)
         .map(|(slot, bench)| {
             slot.unwrap_or_else(|| panic!("{bench}: batch shard lost to a worker panic"))
                 .unwrap_or_else(|e| panic!("{bench}: batched run failed: {e:?}"))
-                .output_digest
         })
         .collect();
+    let batch_digests: Vec<u64> = baselines.iter().map(|o| o.output_digest).collect();
 
+    // Longest first: the jobs are interchangeable, and each takes the
+    // next benchmark of this list when it starts, so the order holds
+    // whatever order the pool runs its jobs in.
+    let mut order: Vec<usize> = (0..NAMES.len()).collect();
+    order.sort_by_key(|&bi| std::cmp::Reverse(baselines[bi].steps));
+    let order = Arc::new(order);
+    let next = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = std::sync::mpsc::channel();
-    for (bi, &bench) in NAMES.iter().enumerate() {
-        let tx = tx.clone();
+    for _ in NAMES {
+        let (tx, order, next) = (tx.clone(), Arc::clone(&order), Arc::clone(&next));
         pool.submit(move || {
-            let (runs, _) = study_bench(bench);
+            let bi = order[next.fetch_add(1, Ordering::Relaxed)];
+            let (runs, _) = study_bench(NAMES[bi]);
             tx.send((bi, runs)).expect("study collector alive");
         });
     }
@@ -586,48 +605,107 @@ pub fn compute_study() -> Study {
     Study::new(STUDY_VERSION, runs)
 }
 
+/// How a benchmark's row of the study was produced: one pass per
+/// distinct transformed program, each either timed (VM streaming into
+/// the full [`og_sim::Simulator`]) or value-only (VM streaming into an
+/// [`og_sim::ValueCounter`], its timing composed from a timed pass).
+#[derive(Debug, Default)]
+struct Passes {
+    timed: usize,
+    value_only: usize,
+}
+
+/// One distinct transformed program of a benchmark and its pass.
+/// Transforms rewrite code and never the data segment (asserted), so a
+/// pass keeps the code alone — `funcs` and `entry` — which keeps the
+/// data segments (up to 233 KB) out of the memo.
+struct Pass {
+    funcs: Vec<Function>,
+    entry: FuncId,
+    run: pipeline::Executed,
+    /// The pass's timing, for timed passes only.
+    timing: Option<og_sim::PathTiming>,
+}
+
+impl Pass {
+    /// Did this pass run `program`'s code?
+    fn same_code(&self, program: &Program) -> bool {
+        self.entry == program.entry && self.funcs == program.funcs
+    }
+
+    /// Did this pass run `program`'s code with at most other widths?
+    fn same_code_ignoring_widths(&self, program: &Program) -> bool {
+        self.entry == program.entry
+            && self.funcs.len() == program.funcs.len()
+            && self.funcs.iter().zip(&program.funcs).all(|(a, b)| a.eq_ignoring_widths(b))
+    }
+}
+
 /// One benchmark's row of the study: its summaries in [`Mech::ALL`]
-/// order, and how many fused emulate+simulate passes produced them.
+/// order, and the passes that produced them.
 ///
-/// Transforms rewrite code and never the data segment (asserted), so
-/// the memo key is the code alone — `funcs` and `entry` — and a
-/// mechanism whose program equals an earlier one's reuses that pass.
-/// Keeping only the code, not whole programs, keeps the data segments
-/// (up to 233 KB) out of the memo.
+/// A mechanism whose program equals an earlier one's reuses that pass.
+/// Otherwise, if its code equals that of one or more *timed* passes
+/// with every width ignored ([`Program::eq_ignoring_widths`]; the data
+/// segment is the benchmark's in every pass), its VM run streams into
+/// a value counter only and takes its timing from the timed pass with
+/// the same path digest. Any other program, or one whose values took
+/// another path, gets a full timed pass. The outcome, digest check,
+/// dynamic statistics and VRS pricing of every program always come
+/// from its own VM run.
 ///
 /// # Panics
 ///
 /// Panics if a transform fails, a pass fails to run, or a mechanism's
 /// output diverges from the baseline's.
-fn study_bench(bench: &str) -> (Vec<RunSummary>, usize) {
+fn study_bench(bench: &str) -> (Vec<RunSummary>, Passes) {
     let base = by_name(bench, InputSet::Ref).program;
     let train = by_name(bench, InputSet::Train).program;
-    let mut passes: Vec<(Vec<Function>, FuncId, pipeline::Executed)> = Vec::new();
+    let mut passes: Vec<Pass> = Vec::new();
+    let mut counts = Passes::default();
     let mut runs: Vec<RunSummary> = Vec::with_capacity(Mech::ALL.len());
     for mech in Mech::ALL {
         let mut program = base.clone();
         let vrs = pipeline::apply_mech(&mut program, mech, Some(&train))
             .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
         assert!(program.data == base.data, "{bench}/{mech:?}: transform touched the data segment");
-        let i = match passes
-            .iter()
-            .position(|(funcs, entry, _)| *entry == program.entry && *funcs == program.funcs)
-        {
-            Some(i) => i,
-            None => {
-                let run = pipeline::execute(Vm::new(&program, RunConfig::default()))
-                    .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-                passes.push((program.funcs.clone(), program.entry, run));
-                passes.len() - 1
-            }
-        };
         // The baseline runs first; its digest is everyone else's oracle.
         let expected = runs.first().map(|base| base.digest);
-        let summary = pipeline::summarize(bench, mech, &program, &passes[i].2, expected, vrs)
-            .unwrap_or_else(|e| panic!("{bench}/{mech:?}: {e}"));
-        runs.push(summary);
+        let fail = |e: RunError| -> ! { panic!("{bench}/{mech:?}: {e}") };
+        let summarize = |program: &Program, run: &pipeline::Executed| {
+            pipeline::summarize(bench, mech, program, run, expected, vrs)
+                .unwrap_or_else(|e| fail(e))
+        };
+        if let Some(pass) = passes.iter().find(|p| p.same_code(&program)) {
+            runs.push(summarize(&program, &pass.run));
+            continue;
+        }
+        let timed: Vec<&og_sim::PathTiming> = passes
+            .iter()
+            .filter(|p| p.same_code_ignoring_widths(&program))
+            .filter_map(|p| p.timing.as_ref())
+            .collect();
+        let vm = || Vm::new(&program, RunConfig::default());
+        let composed = if timed.is_empty() {
+            None
+        } else {
+            pipeline::execute_values(vm(), &timed).unwrap_or_else(|e| fail(e))
+        };
+        let (run, timing) = match composed {
+            Some(run) => {
+                counts.value_only += 1;
+                (run, None)
+            }
+            None => {
+                counts.timed += 1;
+                let (run, timing) = pipeline::execute_timed(vm()).unwrap_or_else(|e| fail(e));
+                (run, Some(timing))
+            }
+        };
+        runs.push(summarize(&program, &run));
+        passes.push(Pass { funcs: program.funcs, entry: program.entry, run, timing });
     }
-    (runs, passes.len())
+    (runs, counts)
 }
 
 /// Dynamic Table 3 rows: per-class percentage of instructions and width
@@ -731,13 +809,20 @@ mod tests {
         assert!(e_vrp < e_base, "{e_vrp} < {e_base}");
     }
 
-    /// The saving [`compute_study`] exists for: 25 fused passes, not 72.
-    /// A change to `Program`/`Function` equality that silently stops
-    /// reuse fails here instead of only slowing the study down.
+    /// The savings [`compute_study`] exists for: 25 passes, not 72, and
+    /// only 10 of them through the timing model. A change to program
+    /// equality, to the width-free code check or to the path digest
+    /// that silently stops reuse fails here instead of only slowing the
+    /// study down.
     #[test]
     fn study_bench_runs_each_distinct_program_once() {
-        let passes: Vec<usize> = NAMES.iter().map(|bench| study_bench(bench).1).collect();
-        assert_eq!(passes, [2, 4, 3, 3, 3, 2, 4, 4], "fused passes per benchmark, {NAMES:?}");
+        let passes: Vec<Passes> = NAMES.iter().map(|bench| study_bench(bench).1).collect();
+        let distinct: Vec<usize> = passes.iter().map(|p| p.timed + p.value_only).collect();
+        let timed: Vec<usize> = passes.iter().map(|p| p.timed).collect();
+        let value_only: Vec<usize> = passes.iter().map(|p| p.value_only).collect();
+        assert_eq!(distinct, [2, 4, 3, 3, 3, 2, 4, 4], "passes per benchmark, {NAMES:?}");
+        assert_eq!(timed, [1, 2, 1, 1, 1, 1, 1, 2], "timed passes per benchmark, {NAMES:?}");
+        assert_eq!(value_only, [1, 2, 2, 2, 2, 1, 3, 2], "value-only passes, {NAMES:?}");
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //! emulate+simulate pass into an [`Executed`], and [`summarize`] checks
 //! its digest and folds it into one mechanism's [`RunSummary`]. The two
 //! entry points above call them back to back; [`crate::compute_study`]
-//! runs [`execute`] once per distinct transformed program of a
-//! benchmark and calls [`summarize`] once per mechanism.
+//! produces one [`Executed`] per distinct transformed program of a
+//! benchmark and calls [`summarize`] once per mechanism. A program
+//! whose code differs from an already timed one's only in widths gets
+//! its [`Executed`] from [`execute_values`]: the VM streams into a
+//! value counter alone, and the timed pass supplies the timing.
 //!
 //! The name-keyed [`crate::run_pipeline`] is a thin wrapper:
 //! build workload → [`run_program`] → unwrap. The equivalence suite
@@ -29,7 +32,7 @@
 use crate::{Mech, RunSummary, VrsSummary};
 use og_core::{UsefulPolicy, VrpConfig, VrpPass, VrsConfig, VrsPass};
 use og_program::Program;
-use og_sim::{MachineConfig, SimResult, Simulator};
+use og_sim::{MachineConfig, PathTiming, SimResult, Simulator, ValueCounter};
 use og_vm::{DynStats, FlatProgram, RunConfig, RunOutcome, Vm, VmError};
 use std::fmt;
 
@@ -193,11 +196,37 @@ pub(crate) struct Executed {
 
 /// The shared first step: run `vm` to completion, streaming every
 /// committed instruction into a fresh cycle-level [`Simulator`].
-pub(crate) fn execute(mut vm: Vm<'_>) -> Result<Executed, RunError> {
+pub(crate) fn execute(vm: Vm<'_>) -> Result<Executed, RunError> {
+    execute_timed(vm).map(|(run, _)| run)
+}
+
+/// [`execute`], also returning the pass's [`PathTiming`] for
+/// [`execute_values`] to reuse.
+pub(crate) fn execute_timed(mut vm: Vm<'_>) -> Result<(Executed, PathTiming), RunError> {
     let mut sim = Simulator::new(MachineConfig::default());
     let outcome = vm.run_streamed(&mut sim)?;
     let (stats, _) = vm.into_parts();
-    Ok(Executed { outcome, stats, sim: sim.finish() })
+    let (sim, timing) = sim.finish_timed();
+    Ok((Executed { outcome, stats, sim }, timing))
+}
+
+/// The value-only first step: run `vm` to completion, streaming every
+/// committed instruction into a [`ValueCounter`] only, and take the
+/// timing from the first of `timed` measured on the same path. `vm`'s
+/// program must equal each timed pass's program with widths ignored
+/// (`Program::eq_ignoring_widths`); then the result equals
+/// [`execute`]'s. `Ok(None)` when no timing's path digest matches: the
+/// values took another path, and only a full pass can time it. The
+/// outcome and dynamic statistics always come from this run.
+pub(crate) fn execute_values(
+    mut vm: Vm<'_>,
+    timed: &[&PathTiming],
+) -> Result<Option<Executed>, RunError> {
+    let mut counter = ValueCounter::new();
+    let outcome = vm.run_streamed(&mut counter)?;
+    let (stats, _) = vm.into_parts();
+    let values = counter.finish();
+    Ok(timed.iter().find_map(|t| t.compose(&values)).map(|sim| Executed { outcome, stats, sim }))
 }
 
 /// The shared second step: check `run`'s digest against

@@ -10,8 +10,8 @@
 //!   here and in the benchmark's oracle.
 //! * Invariants every simulation must satisfy whatever the model's
 //!   numbers: a retire-bandwidth bound on cycles, cache miss and L2
-//!   access accounting, and the ordering of active bytes across the
-//!   gating schemes.
+//!   access accounting, the ordering of active bytes across the gating
+//!   schemes, and the energy orderings og-power's pricing guarantees.
 
 use og_json::ToJson;
 use og_lab::{compute_study, Mech, Study};
@@ -101,6 +101,41 @@ fn fresh_study_satisfies_simulator_invariants() {
                 b.cooperative,
                 b.software,
                 b.hw_size
+            );
+        }
+    }
+}
+
+/// Two energy orderings og-power's pricing guarantees, per structure
+/// and in total: `Software` never costs more than `None` (no tag bits
+/// either way, and software bytes never exceed the full width), and
+/// `Cooperative` never more than `HwSize` (the same 2 tag bits, and
+/// cooperative bytes never exceed size-compressed ones).
+#[test]
+fn fresh_study_orders_energy_across_gating_schemes() {
+    let model = EnergyModel::new();
+    for run in fresh_study().runs() {
+        let what = format!("{}/{}", run.bench, run.mech.label());
+        let price = |scheme| model.report(&run.activity, scheme);
+        for (cheaper, dearer) in [
+            (GatingScheme::Software, GatingScheme::None),
+            (GatingScheme::Cooperative, GatingScheme::HwSize),
+        ] {
+            let (lo, hi) = (price(cheaper), price(dearer));
+            for st in Structure::ALL {
+                assert!(
+                    lo.of(st) <= hi.of(st),
+                    "{what} {}: {cheaper:?} {} nJ > {dearer:?} {} nJ",
+                    st.name(),
+                    lo.of(st),
+                    hi.of(st)
+                );
+            }
+            assert!(
+                lo.total_nj <= hi.total_nj,
+                "{what}: {cheaper:?} {} nJ > {dearer:?} {} nJ in total",
+                lo.total_nj,
+                hi.total_nj
             );
         }
     }

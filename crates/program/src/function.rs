@@ -26,6 +26,15 @@ impl Block {
         self.insts.last().filter(|i| i.op.is_terminator())
     }
 
+    /// Same label and, position by position, instructions that differ
+    /// at most in their width (see [`crate::Program::eq_ignoring_widths`]).
+    pub(crate) fn eq_ignoring_widths(&self, other: &Block) -> bool {
+        let Block { label, insts } = self;
+        *label == other.label
+            && insts.len() == other.insts.len()
+            && insts.iter().zip(&other.insts).all(|(a, b)| Inst { width: b.width, ..*a } == *b)
+    }
+
     /// Successor block ids (empty for `ret`/`halt`).
     pub fn successors(&self) -> Vec<BlockId> {
         self.terminator()
@@ -132,6 +141,21 @@ impl Function {
             }
         }
         out
+    }
+
+    /// Equal to `other` in every field and block, instruction widths
+    /// aside: the same blocks, labels and instructions, where two
+    /// instructions may differ only in [`Inst::width`]. See
+    /// [`crate::Program::eq_ignoring_widths`] for what that buys.
+    pub fn eq_ignoring_widths(&self, other: &Function) -> bool {
+        let Function { id, name, blocks, entry, n_args, returns_value } = self;
+        *id == other.id
+            && *name == other.name
+            && *entry == other.entry
+            && *n_args == other.n_args
+            && *returns_value == other.returns_value
+            && blocks.len() == other.blocks.len()
+            && blocks.iter().zip(&other.blocks).all(|(a, b)| a.eq_ignoring_widths(b))
     }
 
     /// Append a new block and return its id.

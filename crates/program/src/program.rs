@@ -117,6 +117,22 @@ impl Program {
         widened
     }
 
+    /// Is `other` this program with at most its instruction widths
+    /// changed? The same entry, data segment and functions, block for
+    /// block and instruction for instruction, where two instructions may
+    /// differ only in [`og_isa::Inst::width`] — what VRP rewrites. Two
+    /// such programs lay out at the same addresses and run the same ops
+    /// on the same registers; whether they also take the same path is a
+    /// question for their values, not their code.
+    pub fn eq_ignoring_widths(&self, other: &Program) -> bool {
+        // Destructured so a new field cannot be silently left out.
+        let Program { funcs, entry, data } = self;
+        *entry == other.entry
+            && funcs.len() == other.funcs.len()
+            && funcs.iter().zip(&other.funcs).all(|(a, b)| a.eq_ignoring_widths(b))
+            && *data == other.data
+    }
+
     /// Verify structural invariants; see [`crate::VerifyError`].
     ///
     /// Fail-fast shim over [`Program::verify_all`] for callers that only
@@ -205,6 +221,57 @@ mod tests {
         assert_eq!(s.total, 6);
         assert_eq!(s.by_class[&OpClass::Add], 2); // ldi + add (ldi counts as Add)
         assert!(s.by_class.contains_key(&OpClass::Ctrl));
+    }
+
+    #[test]
+    fn width_only_changes_compare_equal_ignoring_widths() {
+        let p = two_func_program();
+        let mut q = p.clone();
+        for f in &mut q.funcs {
+            for b in &mut f.blocks {
+                for i in &mut b.insts {
+                    i.width = if i.width == Width::D { Width::B } else { Width::D };
+                }
+            }
+        }
+        assert_ne!(p, q);
+        assert!(p.eq_ignoring_widths(&q) && q.eq_ignoring_widths(&p));
+        assert!(p.eq_ignoring_widths(&p));
+    }
+
+    #[test]
+    fn code_changes_compare_unequal_ignoring_widths() {
+        let p = two_func_program();
+        let find = |op| p.insts().find(|(_, i)| i.op == op).map(|(r, _)| r).unwrap();
+        let (add, jsr) = (find(Op::Add), find(Op::Jsr));
+        let edited = |edit: &dyn Fn(&mut Program)| {
+            let mut q = p.clone();
+            edit(&mut q);
+            q
+        };
+        let changes = [
+            ("op", edited(&|q| q.inst_mut(add).op = Op::Sub)),
+            ("register", edited(&|q| q.inst_mut(add).dst = Some(Reg::T3))),
+            ("immediate", edited(&|q| q.inst_mut(add).src2 = og_isa::Operand::Imm(2))),
+            ("target", edited(&|q| q.inst_mut(jsr).target = og_isa::Target::Func(1))),
+            (
+                "block count",
+                edited(&|q| {
+                    q.func_mut(add.func).push_block(crate::Block::new("unreached"));
+                }),
+            ),
+            ("entry", edited(&|q| q.entry = FuncId(0))),
+            (
+                "data segment",
+                edited(&|q| {
+                    q.data.define("extra", vec![1]);
+                }),
+            ),
+        ];
+        for (what, q) in changes {
+            assert!(!p.eq_ignoring_widths(&q), "a changed {what} must compare unequal");
+            assert!(!q.eq_ignoring_widths(&p), "a changed {what} must compare unequal");
+        }
     }
 
     #[test]

@@ -40,13 +40,36 @@
 //! plus a store-forwarding map that grows with the program's *data
 //! footprint* (one entry per distinct 8-byte word stored — the same cost
 //! the slice-consuming model always paid). Activity is not summed per
-//! access: [`Simulator::feed`] bins every value access into a
-//! (structure, software width, significance) histogram, and
+//! access: [`Simulator::feed`] bins every value it moves by (event,
+//! software width, significance), where one event such as a result
+//! write stands for every structure the value passes through, and
 //! [`Simulator::finish`] folds the bins into [`ActivityCounts`] — the
 //! per-scheme byte sums are linear in the access counts, so the totals
 //! are exactly those of per-access accounting.
 //! [`Simulator::run`] remains as a slice-consuming convenience over
 //! `feed`/`finish` for traces captured with `og_vm::VecSink`.
+//!
+//! ## Time a path once, count its values many times
+//!
+//! Value accounting is its own [`og_vm::TraceSink`], [`ValueCounter`]:
+//! it reads only a record's width, significances, op class and which
+//! operands are present, and it folds a 128-bit [`PathDigest`] over the
+//! record fields the timing model reads that the code does not fix
+//! (pc, next pc, memory address, branch outcome, record count).
+//! [`Simulator::feed`] calls it for every record, so the value rules
+//! exist once. [`Simulator::finish_timed`] returns, beside the
+//! [`SimResult`], its path-driven part: a [`PathTiming`] of the
+//! [`CycleStats`], the plain (valueless) accesses and the digest.
+//!
+//! A program that differs from a timed one only in its opcode widths
+//! (VRP's rewrite; see `og_program::Program::eq_ignoring_widths`) can
+//! then run into a `ValueCounter` alone, at the cost of the VM plus the
+//! counter instead of the whole timing model, and
+//! [`PathTiming::compose`] returns its `SimResult`, equal to a full
+//! simulation's, if the digests show it took the same path. `og-lab`'s
+//! study does this for every width-only variant of a benchmark; the
+//! argument that code check plus digest cover everything the timing
+//! model reads is written at [`PathDigest`].
 //!
 //! Being trace-driven, wrong-path activity is approximated as front-end
 //! bubbles after a mispredicted branch (the standard trace-driven
@@ -63,9 +86,11 @@ mod config;
 mod pipeline;
 #[cfg(test)]
 mod reference;
+mod values;
 
 pub use activity::{round_size_class, ActivityCounts, SchemeBytes, StructActivity, Structure};
 pub use bpred::BranchPredictor;
 pub use cache::Cache;
 pub use config::MachineConfig;
-pub use pipeline::{CycleStats, SimResult, Simulator};
+pub use pipeline::{CycleStats, PathTiming, SimResult, Simulator};
+pub use values::{PathDigest, ValueActivity, ValueCounter};

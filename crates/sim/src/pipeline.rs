@@ -27,11 +27,19 @@
 //! store-forwarding map hashes with one multiply, and value accesses are
 //! counted into a histogram that `finish` folds into the per-scheme
 //! activity totals.
+//!
+//! Value accounting is its own sink, [`ValueCounter`], which `feed`
+//! calls once per record; everything else `feed` does reads only the
+//! committed path. [`Simulator::finish_timed`] returns that path-driven
+//! part as a [`PathTiming`] beside the [`SimResult`], so a later run of
+//! the same code with other widths (VRP's rewrite) can stream into a
+//! `ValueCounter` alone and [`compose`](PathTiming::compose) its result.
 
-use crate::activity::{ActivityCounts, Structure, ValueHistogram};
+use crate::activity::{ActivityCounts, Structure};
 use crate::bpred::BranchPredictor;
 use crate::cache::Cache;
 use crate::config::MachineConfig;
+use crate::values::{PathDigest, ValueActivity, ValueCounter};
 use og_isa::{FuKind, Op};
 use og_json::{FromJson, Json, ToJson};
 use og_vm::{TraceRecord, TraceSink};
@@ -240,6 +248,35 @@ pub struct SimResult {
     pub activity: ActivityCounts,
 }
 
+/// The path-driven part of a simulation: everything
+/// [`Simulator::feed`] derives from pcs, ops, registers, addresses and
+/// branch outcomes, and nothing it derives from widths or values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathTiming {
+    /// Timing statistics.
+    pub stats: CycleStats,
+    /// The accesses that carry no value (rename, ROB, predictor, tag
+    /// matches, I-cache fetches, L2 fills).
+    pub plain: ActivityCounts,
+    /// The digest of the path that was timed.
+    pub path: PathDigest,
+}
+
+impl PathTiming {
+    /// The [`SimResult`] of a run whose values were counted into
+    /// `values`, if that run took the path this timing was measured on
+    /// (equal [`PathDigest`]s); `None` otherwise. Over the same path and
+    /// code (widths aside) the result equals a full simulation's; see
+    /// [`PathDigest`] for why.
+    pub fn compose(&self, values: &ValueActivity) -> Option<SimResult> {
+        (values.path == self.path).then(|| {
+            let mut activity = self.plain.clone();
+            activity.merge(&values.activity);
+            SimResult { stats: self.stats.clone(), activity }
+        })
+    }
+}
+
 /// A bounded history of per-instruction timestamps: retains (at least)
 /// the youngest `cap` values pushed, addressable by the global push
 /// index. This is what makes the simulator's memory footprint
@@ -291,9 +328,10 @@ pub struct Simulator {
     line_mask: u64,
     // Accumulated results.
     stats: CycleStats,
+    /// Plain (valueless) accesses.
     act: ActivityCounts,
-    /// Value accesses, binned; folded into `act` by `finish`.
-    values: ValueHistogram,
+    /// Value accesses and the path digest.
+    values: ValueCounter,
     // Machine structures.
     icache: Cache,
     dcache: Cache,
@@ -338,7 +376,7 @@ impl Simulator {
             line_mask: !(config.icache.2 as u64 - 1),
             stats: CycleStats::default(),
             act: ActivityCounts::new(),
-            values: ValueHistogram::new(),
+            values: ValueCounter::new(),
             icache: Cache::new(config.icache.0, config.icache.1, config.icache.2),
             dcache: Cache::new(config.dcache.0, config.dcache.1, config.dcache.2),
             l2: Cache::new(config.l2.0, config.l2.1, config.l2.2),
@@ -368,6 +406,7 @@ impl Simulator {
     /// Feed one committed instruction through the pipeline model.
     #[allow(clippy::too_many_lines)]
     pub fn feed(&mut self, rec: &TraceRecord) {
+        self.values.count(rec);
         let cfg = &self.config;
         let i = self.stats.insts;
         self.stats.insts += 1;
@@ -417,24 +456,14 @@ impl Simulator {
         }
         self.act.record_plain(Structure::Rename);
         self.act.record_plain(Structure::Rob);
-        let sw = rec.width.bytes() as u8;
-        let sig = rec.max_sig();
-        self.values.record(Structure::InstQueue, sw, sig);
 
         // ---- operand readiness --------------------------------------
         let mut ready = disp + 1;
-        for (s, src) in rec.srcs.iter().enumerate() {
-            if let Some(r) = src {
-                if !r.is_zero() {
-                    ready = ready.max(self.reg_ready[r.index() as usize]);
-                }
-                self.values.record(
-                    Structure::RegFile,
-                    sw,
-                    if rec.src_sigs[s] == 0 { 1 } else { rec.src_sigs[s] },
-                );
-                self.act.record_plain(Structure::InstQueue); // wakeup tag match
+        for r in rec.srcs.iter().flatten() {
+            if !r.is_zero() {
+                ready = ready.max(self.reg_ready[r.index() as usize]);
             }
+            self.act.record_plain(Structure::InstQueue); // wakeup tag match
         }
 
         // ---- issue + execute ----------------------------------------
@@ -455,8 +484,6 @@ impl Simulator {
         };
         if matches!(rec.op, Op::Ld { .. }) {
             self.stats.loads += 1;
-            self.values.record(Structure::Lsq, sw, rec.dst_sig.max(1));
-            self.values.record(Structure::DCacheL1, sw, rec.dst_sig.max(1));
             let access_start = iss + 1;
             let data_ready = if self.dcache.access(rec.mem_addr) {
                 access_start + cfg.dcache.3 as u64
@@ -480,13 +507,6 @@ impl Simulator {
             }
         } else if rec.op == Op::St {
             self.stats.stores += 1;
-            self.values.record(Structure::Lsq, sw, rec.src_sigs[0].max(1));
-        }
-        if rec.op.fu() != FuKind::None && !rec.op.is_mem() {
-            self.values.record(Structure::Fu, sw, sig);
-        } else if rec.op.is_mem() {
-            // address generation occupies an ALU lane's adder
-            self.values.record(Structure::Fu, 8, 8);
         }
         self.issue_hist.push(iss);
         let mut complete = iss + lat.max(1);
@@ -494,8 +514,6 @@ impl Simulator {
         // ---- writeback ----------------------------------------------
         if let Some(d) = rec.dst {
             complete = self.bus_ring.reserve(complete, 4);
-            self.values.record(Structure::ResultBus, sw, rec.dst_sig.max(1));
-            self.values.record(Structure::RenameBufs, sw, rec.dst_sig.max(1));
             if !d.is_zero() {
                 self.reg_ready[d.index() as usize] = complete;
             }
@@ -556,13 +574,8 @@ impl Simulator {
         self.last_commit = c;
         self.commit_hist.push(c);
         self.act.record_plain(Structure::Rob);
-        if rec.dst.is_some() {
-            // architectural writeback
-            self.values.record(Structure::RegFile, sw, rec.dst_sig.max(1));
-        }
         if rec.op == Op::St {
             // the store writes the cache at commit
-            self.values.record(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
             let hit = self.dcache.access(rec.mem_addr);
             if !hit {
                 self.act.record_plain(Structure::DCacheL2);
@@ -578,15 +591,23 @@ impl Simulator {
     /// Close the books: total cycle count and cache tallies. Consumes
     /// the simulator (a finished machine cannot be fed more work).
     pub fn finish(self) -> SimResult {
+        self.finish_timed().0
+    }
+
+    /// [`finish`](Simulator::finish), plus the path-driven part of the
+    /// result, for [`PathTiming::compose`] to reuse on a value-only run
+    /// over the same path.
+    pub fn finish_timed(self) -> (SimResult, PathTiming) {
         let mut stats = self.stats;
-        let mut activity = self.act;
-        self.values.fold_into(&mut activity);
         stats.cycles = self.last_commit + 1;
         stats.icache = (self.icache.accesses, self.icache.misses);
         stats.dcache = (self.dcache.accesses, self.dcache.misses);
         stats.l2 = (self.l2.accesses, self.l2.misses);
         // cond_branches/mispredicts recorded inline.
-        SimResult { stats, activity }
+        let values = self.values.finish();
+        let timing = PathTiming { stats, plain: self.act, path: values.path };
+        let result = timing.compose(&values).expect("a simulator's values share its path");
+        (result, timing)
     }
 
     /// Simulate a materialized committed-path trace on a **fresh**

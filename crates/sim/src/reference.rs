@@ -163,6 +163,43 @@ impl ModRing {
     }
 }
 
+/// The simulator's value accounting as it was first written inside
+/// `Simulator::feed`: one per-access `record_value` per structure the
+/// record's values pass through, in pipeline order. The oracle for
+/// `ValueCounter`'s event bins.
+pub fn record_values_per_access(rec: &og_vm::TraceRecord, act: &mut crate::ActivityCounts) {
+    use crate::Structure;
+    use og_isa::{FuKind, Op};
+    let sw = rec.width.bytes() as u8;
+    let sig = rec.max_sig();
+    act.record_value(Structure::InstQueue, sw, sig);
+    for (s, src) in rec.srcs.iter().enumerate() {
+        if src.is_some() {
+            let sig = if rec.src_sigs[s] == 0 { 1 } else { rec.src_sigs[s] };
+            act.record_value(Structure::RegFile, sw, sig);
+        }
+    }
+    if matches!(rec.op, Op::Ld { .. }) {
+        act.record_value(Structure::Lsq, sw, rec.dst_sig.max(1));
+        act.record_value(Structure::DCacheL1, sw, rec.dst_sig.max(1));
+    } else if rec.op == Op::St {
+        act.record_value(Structure::Lsq, sw, rec.src_sigs[0].max(1));
+    }
+    if rec.op.fu() != FuKind::None && !rec.op.is_mem() {
+        act.record_value(Structure::Fu, sw, sig);
+    } else if rec.op.is_mem() {
+        act.record_value(Structure::Fu, 8, 8);
+    }
+    if rec.dst.is_some() {
+        act.record_value(Structure::ResultBus, sw, rec.dst_sig.max(1));
+        act.record_value(Structure::RenameBufs, sw, rec.dst_sig.max(1));
+        act.record_value(Structure::RegFile, sw, rec.dst_sig.max(1));
+    }
+    if rec.op == Op::St {
+        act.record_value(Structure::DCacheL1, sw, rec.src_sigs[0].max(1));
+    }
+}
+
 /// SplitMix64: a seeded stream for the differential tests.
 pub struct Rng(u64);
 
